@@ -131,7 +131,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     eps = coerce(cert.eps)
     res = _residuals(T, x0, S, u0)
     tol = tol_of(res["attainment"], res["operator_norm"], *u0.coords)
-    member = check_membership(S)
+    member = check_membership(S, tol)
     checks = (
         ("corrected_admissible", bool(member.member), member.slack, -tol),
         ("corrected_norm_one", abs(res["operator_norm"] - 1) <= tol,

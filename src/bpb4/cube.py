@@ -21,6 +21,7 @@ from .errors import DomainError
 from .scalars import Scalar, coerce, is_exact, tol_of
 
 _HALF = Fraction(1, 2)
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -39,22 +40,39 @@ class Vec4:
         return self.coords[i]
 
     def __add__(self, other: "Vec4") -> "Vec4":
-        return Vec4(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        a0, a1, a2, a3 = self.coords
+        b0, b1, b2, b3 = other.coords
+        return _vec4((a0 + b0, a1 + b1, a2 + b2, a3 + b3))
 
     def __sub__(self, other: "Vec4") -> "Vec4":
-        return Vec4(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        a0, a1, a2, a3 = self.coords
+        b0, b1, b2, b3 = other.coords
+        return _vec4((a0 - b0, a1 - b1, a2 - b2, a3 - b3))
 
     def __neg__(self) -> "Vec4":
-        return Vec4(tuple(-a for a in self.coords))
+        a0, a1, a2, a3 = self.coords
+        return _vec4((-a0, -a1, -a2, -a3))
 
     def scale(self, c: Scalar) -> "Vec4":
-        return Vec4(tuple(c * a for a in self.coords))
+        a0, a1, a2, a3 = self.coords
+        return _vec4((c * a0, c * a1, c * a2, c * a3))
 
     def sup_norm(self) -> Scalar:
         return max(abs(a) for a in self.coords)
 
     def is_exact(self) -> bool:
         return is_exact(*self.coords)
+
+
+def _vec4(coords) -> Vec4:
+    """Wrap four already-normalized scalars without re-coercing them.
+
+    Arithmetic on Fraction/float coordinates yields Fraction/float again, so
+    the vector operations skip the per-coordinate ``coerce`` of ``Vec4()``.
+    """
+    v = object.__new__(Vec4)
+    object.__setattr__(v, "coords", coords)
+    return v
 
 
 # Extreme points of the lead face, in their conventional order v1..v8.
@@ -101,11 +119,16 @@ def coords(x: Vec4) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
 
 
 def reconstruct(weights, vertex_indices) -> Vec4:
-    """Sum of weight_j * v_{idx_j}; the inverse of a face decomposition."""
-    total = Vec4((0, 0, 0, 0))
+    """Sum of weight_j * v_{idx_j}; the inverse of a face decomposition.
+
+    Vertex entries are +-1, so each term is added or subtracted instead of
+    multiplied; the sums are the same, term by term, as with the products.
+    """
+    total = [_ZERO] * 4
     for w, idx in zip(weights, vertex_indices):
-        total = total + vertex(idx).scale(w)
-    return total
+        for k, s in enumerate(vertex(idx).coords):
+            total[k] = total[k] + w if s > 0 else total[k] - w
+    return _vec4(tuple(total))
 
 
 @dataclass(frozen=True)
@@ -139,7 +162,9 @@ class SignedPerm:
         return SignedPerm(tuple(perm), (1, 1, 1, 1))
 
     def apply(self, x: Vec4) -> Vec4:
-        return Vec4(tuple(self.signs[i] * x[self.perm[i]] for i in range(4)))
+        c = x.coords
+        return _vec4(tuple(c[p] if s > 0 else -c[p]
+                           for p, s in zip(self.perm, self.signs)))
 
     def compose(self, other: "SignedPerm") -> "SignedPerm":
         """self after other: (self.compose(other))(x) == self(other(x))."""
@@ -163,14 +188,20 @@ def on_lead_face(x: Vec4, tol=None) -> bool:
     """Membership in {x : x(1) = 1 = ||x||}; exact for exact inputs."""
     if tol is None:
         tol = tol_of(*x.coords)
-    return abs(x[0] - 1) <= tol and all(abs(c) <= 1 + tol for c in x.coords)
+    bound = 1 + tol
+    return abs(x[0] - 1) <= tol and all(abs(c) <= bound for c in x.coords)
 
 
 def in_base_simplex(x: Vec4, tol=None) -> bool:
     """Membership in co{v1..v4}: on the lead face with nonnegative coordinates."""
     if tol is None:
         tol = tol_of(*x.coords)
-    return on_lead_face(x, tol) and all(c >= -tol for c in coords(x))
+    if not on_lead_face(x, tol):
+        return False
+    # coords(x) >= -tol, doubled: halving is exact, so the signs agree.
+    a, b, c, d = x.coords
+    floor = -2 * tol
+    return a + b >= floor and c - b >= floor and d - c >= floor and a - d >= floor
 
 
 @dataclass(frozen=True)
@@ -204,6 +235,11 @@ def face_decompose(x: Vec4) -> FaceDecomposition:
     """
     if not on_lead_face(x):
         raise DomainError(f"not on the lead face: {x.coords}")
+    return _decompose(x)
+
+
+def _decompose(x: Vec4) -> FaceDecomposition:
+    """face_decompose for a point already known to lie on the lead face."""
     order = sorted((1, 2, 3), key=lambda j: x[j])  # stable, 0-based slots 2..4
     forward = SignedPerm((0, *order), (1, 1, 1, 1))
     sorted_x = forward.apply(x)
@@ -267,7 +303,7 @@ def close_face_correct(x0: Vec4, u0: Vec4, eps: Scalar) -> CloseFaceResult:
     if not (u0 - x0).sup_norm() < eps:
         raise DomainError("u0 is not within eps of x0")
 
-    fd = face_decompose(u0)
+    fd = _decompose(u0)
     beta = {idx: w for idx, w in zip(fd.vertex_indices, fd.weights)}
     support = {idx for idx, w in beta.items() if w > 0}
     base = frozenset(range(1, 5))
@@ -282,7 +318,5 @@ def close_face_correct(x0: Vec4, u0: Vec4, eps: Scalar) -> CloseFaceResult:
     if mass <= 0:
         raise DomainError("degenerate decomposition: no base-vertex mass")
     gamma = {i: beta.get(i, 0) / mass for i in inside}
-    corrected = Vec4((0, 0, 0, 0))
-    for i, g in gamma.items():
-        corrected = corrected + vertex(i).scale(g)
+    corrected = reconstruct(gamma.values(), gamma.keys())
     return CloseFaceResult(corrected, fd.active, beta, gamma)

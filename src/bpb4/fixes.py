@@ -241,9 +241,9 @@ def repair_nonnegative(x: YVec, y: YVec, z: YVec, s: Scalar, t: Scalar) -> YVec:
     if not norm(d) <= 1 + t + tol:
         raise PreconditionError("||x - y + z|| exceeds 1 + t")
     n = max(len(x.coords), len(y.coords), len(z.coords))
-    pad = lambda v: v.coords + (type(coerce(0))(0),) * (n - len(v.coords))
-    xs, ys, zs = pad(x), pad(y), pad(z)
-    w = tuple(zs[k] if ys[k] <= xs[k] + zs[k] else ys[k] - xs[k] for k in range(n))
+    pad = lambda v: v.coords + (Fraction(0),) * (n - len(v.coords))
+    w = tuple(zk if yk <= xk + zk else yk - xk
+              for xk, yk, zk in zip(pad(x), pad(y), pad(z)))
     return YVec(x.space, w)
 
 

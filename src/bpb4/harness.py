@@ -24,7 +24,7 @@ from .cube import SignedPerm, Vec4, vertex
 from .errors import BPB4Error, DomainError, PreconditionError, SizeError
 from .fixes import schedule
 from .quadop import Quad, active_sum_norm, apply, check_membership, diff, op_norm
-from .scalars import Scalar, coerce, scalar_to_json
+from .scalars import Scalar, coerce, is_exact, scalar_to_json
 from .serial import instance_to_json
 from .spaces import SpaceDescriptor, YVec, norm, unit_first
 
@@ -167,9 +167,27 @@ def brute_ahsp_search(q: Quad, active, eps: Scalar,
     Returns some admissible z with every ||z_i - y_i|| <= eps and
     ||sum_{i in active} z_i|| = |active|, or None if the grid holds no such
     point (inconclusive, never a disproof).  All four components may move:
-    restoring admissibility can require adjusting inactive ones too.  Raises
-    SizeError when the candidate product exceeds the budget; practical up to
-    dimension 2.
+    restoring admissibility can require adjusting inactive ones too.
+
+    Candidates are the grid points z with ||z|| <= 1 and ||z - y_i|| <= eps,
+    combined in lexicographic grid order; the first combination that
+    attains is returned.  On exact input (rational q and eps) an active
+    index keeps only its grid points with ||z|| = 1: by the triangle
+    inequality, ||sum_{i in C} z_i|| = |C| with every ||z_i|| <= 1 forces
+    each ||z_i|| = 1 for i in C, so the dropped combinations could never
+    attain and the first-found result is the one the full grid gives.
+    Float input keeps the unfiltered lists, because rounding breaks that
+    implication (1 + (1 - 2**-53) rounds to 2.0).
+
+    Raises SizeError when one index's grid, or the product of the candidate
+    lists built so far (after the norm-one filter), exceeds SEARCH_BUDGET;
+    it is checked as each list is built, so a hopeless search stops early.
+    Returns None as soon as some index has no candidate, which can happen
+    before the product grows too large: the near-face l1:4 quadruple of
+    ``GenSpec(l1(4), 0, "near-face", 1/10)`` with C = {1, 2, 3, 4} at
+    resolution 12 returns None (an active index has no norm-one grid point
+    within eps), though its unfiltered candidate product exceeds the budget.
+    Practical up to dimension 2.
     """
     space = q.space
     if space.infinite or space.family == "lp":
@@ -179,34 +197,35 @@ def brute_ahsp_search(q: Quad, active, eps: Scalar,
     if not active or not set(active) <= {1, 2, 3, 4}:
         raise DomainError(f"bad active set: {active}")
 
-    if active_sum_norm(q, active) == len(active) and check_membership(q).member:
+    target = len(active)
+    if active_sum_norm(q, active) == target and check_membership(q).member:
         return q
 
+    exact = q.is_exact() and is_exact(eps)
     candidate_lists = []
+    total = 1
     for i in (1, 2, 3, 4):
         yi = q[i - 1]
         axes = [_axis_grid(c, eps, resolution) for c in yi.coords]
-        total = 1
+        grid = 1
         for a in axes:
-            total *= len(a)
-        if total > SEARCH_BUDGET:
-            raise SizeError(f"per-index grid too large: {total}")
+            grid *= len(a)
+        if grid > SEARCH_BUDGET:
+            raise SizeError(f"per-index grid too large: {grid}")
+        on_sphere = exact and i in active
         cands = []
         for point in itertools.product(*axes):
             z = YVec(space, point)
-            if norm(z) <= 1 and norm(z - yi) <= eps:
+            n = norm(z)
+            if n <= 1 and (n == 1 or not on_sphere) and norm(z - yi) <= eps:
                 cands.append(z)
         if not cands:
             return None
         candidate_lists.append(cands)
+        total *= len(cands)
+        if total > SEARCH_BUDGET:
+            raise SizeError(f"candidate product too large: {total}")
 
-    total = 1
-    for c in candidate_lists:
-        total *= len(c)
-    if total > SEARCH_BUDGET:
-        raise SizeError(f"candidate product too large: {total}")
-
-    target = len(active)
     for combo in itertools.product(*candidate_lists):
         cand = Quad(combo)
         if active_sum_norm(cand, active) == target and check_membership(cand).member:

@@ -62,14 +62,19 @@ class MembershipReport:
 
 
 def check_membership(q: Quad, tol=None) -> MembershipReport:
-    """Are all four vectors and all four alternating triples inside the ball?"""
-    if tol is None:
-        tol = 0 if q.is_exact() else tol_of(0.0)
-    worst_label, worst_norm = None, None
+    """Are all four vectors and all four alternating triples inside the ball?
+
+    The default tolerance is ``tol_of`` the eight norms: lp norms are floats
+    even when every coordinate is a Fraction.
+    """
+    worst_label, worst_norm, norms = None, None, []
     for label, v in _extreme_images(q):
         n = norm(v)
+        norms.append(n)
         if worst_norm is None or n > worst_norm:
             worst_label, worst_norm = label, n
+    if tol is None:
+        tol = tol_of(*norms)
     slack = 1 - worst_norm
     return MembershipReport(member=slack >= -tol, slack=slack, worst=worst_label)
 

@@ -9,6 +9,7 @@ l1 and sup norms stay exact on the rational backend; lp norms are floats.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -68,6 +69,8 @@ def sup_space(dim: int) -> SpaceDescriptor:
 
 
 def _aligned(a: Tuple[Scalar, ...], b: Tuple[Scalar, ...]):
+    if len(a) == len(b):
+        return a, b
     n = max(len(a), len(b))
     zero = Fraction(0) if is_exact(*a, *b) else 0.0
     return (a + (zero,) * (n - len(a)), b + (zero,) * (n - len(b)))
@@ -92,18 +95,18 @@ class YVec:
     def __add__(self, other: "YVec") -> "YVec":
         _check_same_space(self, other)
         a, b = _aligned(self.coords, other.coords)
-        return YVec(self.space, tuple(x + y for x, y in zip(a, b)))
+        return _yvec(self.space, tuple(map(operator.add, a, b)))
 
     def __sub__(self, other: "YVec") -> "YVec":
         _check_same_space(self, other)
         a, b = _aligned(self.coords, other.coords)
-        return YVec(self.space, tuple(x - y for x, y in zip(a, b)))
+        return _yvec(self.space, tuple(map(operator.sub, a, b)))
 
     def __neg__(self) -> "YVec":
-        return YVec(self.space, tuple(-c for c in self.coords))
+        return _yvec(self.space, tuple(map(operator.neg, self.coords)))
 
     def scale(self, c: Scalar) -> "YVec":
-        return YVec(self.space, tuple(c * x for x in self.coords))
+        return _yvec(self.space, tuple(c * x for x in self.coords))
 
     def norm(self) -> Scalar:
         return norm(self)
@@ -112,8 +115,20 @@ class YVec:
         return is_exact(*self.coords)
 
 
+def _yvec(space: SpaceDescriptor, coords) -> YVec:
+    """Wrap already-normalized coordinates of the right length, unchecked.
+
+    Arithmetic on Fraction/float coordinates yields Fraction/float again, so
+    the vector operations skip the per-coordinate ``coerce`` of ``YVec()``.
+    """
+    v = object.__new__(YVec)
+    object.__setattr__(v, "space", space)
+    object.__setattr__(v, "coords", coords)
+    return v
+
+
 def _check_same_space(a: YVec, b: YVec):
-    if a.space != b.space:
+    if a.space is not b.space and a.space != b.space:
         raise DomainError(f"mixed spaces: {a.space} vs {b.space}")
 
 
@@ -131,9 +146,9 @@ def unit_first(space: SpaceDescriptor) -> YVec:
 def norm(y: YVec) -> Scalar:
     family = y.space.family
     if family == "l1":
-        return sum((abs(c) for c in y.coords), Fraction(0) if y.is_exact() else 0.0)
+        return sum(map(abs, y.coords), Fraction(0) if y.is_exact() else 0.0)
     if family == "sup":
-        return max(abs(c) for c in y.coords)
+        return max(map(abs, y.coords))
     if family == "r":
         return abs(y.coords[0])
     p = float(y.space.p)
@@ -259,4 +274,5 @@ def coordinate_sum(y: YVec) -> Scalar:
 def is_nonnegative(y: YVec, tol=None) -> bool:
     if tol is None:
         tol = tol_of(*y.coords)
-    return all(c >= -tol for c in y.coords)
+    floor = -tol
+    return all(c >= floor for c in y.coords)

@@ -141,7 +141,7 @@ def repair_triple(dim: int, seed: int) -> Tuple[YVec, YVec, YVec, Fraction, Frac
             break
     x, y, z = (v.scale(1 / sigma) for v in (x, y, z))
     s = Fraction(rng.randrange(0, DENOM + 1), 4 * DENOM)
-    t = norm(x - y + z) - 1
+    t = norm(d) / sigma - 1  # == norm(x - y + z) - 1 after the rescaling, exactly
     t = (t if t > 0 else Fraction(0)) + Fraction(rng.randrange(0, DENOM + 1), 4 * DENOM)
     return x, y, z, s, t
 

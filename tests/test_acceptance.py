@@ -40,8 +40,8 @@ F = Fraction
 
 
 def report(criterion: str, detail: str, elapsed: float, budget: float):
-    print(f"PASS {criterion}: {detail} ({elapsed:.2f}s < {budget:.0f}s)")
     assert elapsed < budget, f"{criterion} exceeded its runtime budget"
+    print(f"PASS {criterion}: {detail} ({elapsed:.2f}s < {budget:.0f}s)")
 
 
 class TestAcceptance:

@@ -42,6 +42,19 @@ class TestCorrectAndVerify:
         out = capsys.readouterr().out
         assert "PASS attainment" in out
 
+    def test_lp_certificate_verifies_after_rational_round_trip(self, tmp_path,
+                                                                capsys):
+        # The JSON turns lp float coordinates into Fractions, but lp norms
+        # stay floats, so admissibility is judged within the float tolerance.
+        T, x0 = make_instance(lp(2, 3), F(3, 10), 0, 0)
+        inst_path = tmp_path / "lp.json"
+        inst_path.write_text(json.dumps(serial.instance_to_json(T, x0)))
+        cert_path = str(tmp_path / "cert.json")
+        assert main(["correct", str(inst_path), "--eps", "3/10",
+                     "--out", cert_path]) == 0
+        assert main(["verify", cert_path]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_verify_rejects_tampered_certificate(self, instance_file, tmp_path):
         cert_path = str(tmp_path / "cert.json")
         main(["correct", instance_file, "--eps", "3/10", "--out", cert_path])

@@ -1,6 +1,7 @@
 """Generators, oracles, brute search, and sweep reproducibility."""
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -124,6 +125,92 @@ class TestBruteSearch:
         q = gen_quad(GenSpec(l1(6), 0, "boundary"))
         with pytest.raises(SizeError):
             brute_ahsp_search(q, {1, 2, 3, 4}, F(1, 4), 25)
+
+    def test_budget_stops_before_building_every_grid(self, monkeypatch):
+        import bpb4.harness as hmod
+
+        built = []
+        real_grid = hmod._axis_grid
+        monkeypatch.setattr(hmod, "_axis_grid",
+                            lambda *args: built.append(args) or real_grid(*args))
+        monkeypatch.setattr(hmod, "SEARCH_BUDGET", 10)
+        q = gen_quad(GenSpec(reals(), 0, "near-face"))
+        # Inactive lists are unfiltered: 5 candidates each, 25 > 10 after two.
+        with pytest.raises(SizeError, match="candidate product too large: 25"):
+            brute_ahsp_search(q, {4}, F(1, 10), 5)
+        assert len(built) == 2
+
+
+def _reference_search(q, active, eps, resolution):
+    """Unpruned grid search: every candidate list, checked in grid order."""
+    def attains(z):
+        return (active_sum_norm(z, active) == len(active)
+                and check_membership(z).member)
+
+    def axis(center):
+        lo, hi = max(center - eps, -1), min(center + eps, 1)
+        if resolution == 1 or lo == hi:
+            return [lo]
+        return [lo + (hi - lo) / (resolution - 1) * k for k in range(resolution)]
+
+    if attains(q):
+        return q
+    lists = []
+    for y in q.ys:
+        points = (YVec(y.space, p) for p in product(*map(axis, y.coords)))
+        lists.append([z for z in points
+                      if norm(z) <= 1 and norm(z - y) <= eps])
+    return next((z for z in map(Quad, product(*lists)) if attains(z)), None)
+
+
+ALL_ACTIVE_SETS = [set(c) for k in (1, 2, 3, 4)
+                   for c in combinations((1, 2, 3, 4), k)]
+
+
+def _near_face(space, seed, slack):
+    return gen_quad(GenSpec(space, seed, "near-face", slack))
+
+
+#: Near e1 on the 1/20 lattice, so that l1:2 grids hold norm-one points.
+_LATTICE_L1_2 = Quad(tuple(YVec(l1(2), c) for c in (
+    (F(19, 20), F(1, 20)), (F(1), F(-1, 20)), (F(19, 20), F(0)),
+    (F(9, 10), F(1, 10)))))
+
+
+class TestBruteSearchPruningIsExact:
+    """The norm-one filter on active indices never changes the result."""
+
+    @pytest.mark.parametrize("q, eps, resolution", [
+        (_near_face(reals(), 1, F(1, 10)), F(1, 10), 3),
+        (_near_face(reals(), 2, F(1, 10)), F(1, 10), 9),
+        (_near_face(reals(), 3, F(1, 2)), F(1, 100), 5),  # no grid point is 1
+        (_near_face(l1(1), 4, F(1, 10)), F(1, 10), 4),
+        (_near_face(l1(1), 5, F(1, 5)), F(1, 20), 6),
+        (_near_face(l1(2), 6, F(1, 10)), F(1, 10), 3),
+        (_LATTICE_L1_2, F(1, 10), 3),
+        (_LATTICE_L1_2, F(1, 5), 5),
+    ], ids=["r-3", "r-9", "r-5-miss", "l1:1-4", "l1:1-6", "l1:2-3",
+            "l1:2-lattice-3", "l1:2-lattice-5"])
+    def test_same_result_as_unpruned_search(self, q, eps, resolution):
+        for active in ALL_ACTIVE_SETS:
+            found = brute_ahsp_search(q, active, eps, resolution)
+            assert found == _reference_search(q, active, eps, resolution)
+
+    @pytest.mark.parametrize("coord", [float, Fraction],
+                             ids=["float-quad", "exact-quad"])
+    def test_float_grid_searches_unfiltered(self, coord):
+        # In floats (1 - 2**-53) + 1 rounds to 2, so an attainer need not
+        # have norm-one active components: y1's grid tops out at 1 - 2**-53.
+        # A float eps makes the grid float even around exact coordinates.
+        eps = 2.0 ** -10
+        sp = reals()
+        q = Quad(tuple(YVec(sp, (coord(c),)) for c in (1 - 2.0 ** -53 - eps,
+                                                       1.0, 0.5, 0.5)))
+        for active in ALL_ACTIVE_SETS:
+            found = brute_ahsp_search(q, active, eps, 2)
+            assert found == _reference_search(q, active, eps, 2)
+        found = brute_ahsp_search(q, {1, 2}, eps, 2)
+        assert found[0].coords == (1 - 2.0 ** -53,)
 
 
 class TestMakeInstance:
