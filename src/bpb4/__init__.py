@@ -71,7 +71,6 @@ from .quadop import (
     check_membership,
     cyclic_shift,
     diff,
-    is_member,
     op_norm,
 )
 from .spaces import (

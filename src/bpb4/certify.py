@@ -11,7 +11,7 @@ quadruple.  ``verify_certificate`` recomputes every residual from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, Tuple
 
 from .cube import (
     SignedPerm,
@@ -64,18 +64,22 @@ def correct(T: Quad, x0: Vec4, eps: Scalar) -> Certificate:
     Requires op_norm(T) = 1, ||x0|| = 1 (sup norm), and ||T x0|| > 1 - eta
     with eta from the codomain's constants schedule.  The returned operator
     S has norm one and attains it at the returned point u0, with
-    ||u0 - x0|| < 2*eps/3 and ||S - T|| < eps.
+    ||u0 - x0|| < 2*eps/3 and ||S - T|| < eps.  A float eta so small that
+    1 - eta rounds to 1 is a DomainError: the rational backend handles it.
     """
     eps = coerce(eps)
     if not 0 < eps < 1:
         raise DomainError(f"eps must lie in (0, 1): {eps}")
-    tol = tol_of(op_norm(T), *x0.coords)
-    if abs(op_norm(T) - 1) > tol:
+    t_norm = op_norm(T)
+    tol = tol_of(t_norm, *x0.coords)
+    if abs(t_norm - 1) > tol:
         raise DomainError("operator must have norm one")
     if abs(x0.sup_norm() - 1) > tol:
         raise DomainError("x0 must be a unit vector")
-    sched = schedule(T.space)
-    eta = sched.base_slack(eps / 3) ** 2  # equals eta(eps) off the dense-lift route
+    eta = schedule(T.space).eta(eps)
+    if 1 - eta == 1:
+        raise DomainError(f"eta(eps) = {eta} is below double precision; "
+                          f"use the rational backend")
     if not norm(apply(T, x0)) > 1 - eta:
         raise PreconditionError("||T x0|| must exceed 1 - eta(eps)")
 

@@ -13,13 +13,12 @@ import sys
 from fractions import Fraction
 
 from . import serial
-from .certify import correct, extract_ahsp, verify_certificate
-from .errors import BPB4Error, DomainError, PreconditionError, SizeError, \
-    UnsupportedSpaceError
+from .certify import correct, verify_certificate
+from .errors import DomainError, PreconditionError, SizeError, UnsupportedSpaceError
 from .fixes import dispatch_fix
 from .harness import GenSpec, SweepFailure, brute_ahsp_search, gen_quad, sweep
-from .quadop import active_sum_norm, check_membership, diff, op_norm
-from .scalars import parse_scalar, scalar_to_json
+from .quadop import active_sum_norm, check_membership
+from .scalars import parse_scalar, scalar_to_json, tol_of
 from .spaces import SpaceDescriptor
 
 
@@ -63,11 +62,18 @@ def _load_json(path: str):
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(data, out: str = None):
     text = json.dumps(data, indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(out, text + "\n")
     else:
         print(text)
 
@@ -112,8 +118,7 @@ def _cmd_sweep(args) -> int:
         json.dump(exc.instance_json, sys.stderr, indent=2)
         print(file=sys.stderr)
         return 1
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(csv_text)
+    _write(args.out, csv_text)
     if skipped:
         print(f"skipped {skipped} instances (precondition not met)",
               file=sys.stderr)
@@ -127,7 +132,7 @@ def _cmd_check_ahsp(args) -> int:
     report = check_membership(result.corrected)
     attained = active_sum_norm(result.corrected, result.certified)
     ok = (report.member
-          and abs(attained - len(result.certified)) <= 1e-9
+          and abs(attained - len(result.certified)) <= tol_of(attained)
           and request.active <= result.certified
           and all(d < request.eps for d in result.displacements))
     _emit(serial.fix_result_to_json(result, args.backend), args.out)

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Tuple
 
 from .errors import DomainError, PreconditionError, UnsupportedSpaceError
-from .quadop import Quad, active_sum_norm, check_membership, cyclic_shift, negate
+from .quadop import Quad, check_membership, cyclic_shift
 from .scalars import Scalar, coerce, tol_of
 from .spaces import (
     Functional,
@@ -39,9 +39,13 @@ class ConstantsSchedule:
     rho is the base slack function (eps/226 for l1; min{delta(eps)/2, eps/6}
     for the uniformly convex families), nu = rho^2 drives the convex
     combination route, gamma(eps) = nu(eps/4) is the definition-level slack,
-    eta(eps) = nu(eps/3) calibrates the end-to-end correction,
-    gamma_from_eta(eps) = eta(eps/48) extracts slack from a correction
-    routine, and zeta(eps) = gamma(eps/2) survives dense limits.
+    eta(eps) = base_slack(eps/3)^2 is the entry slack of the end-to-end
+    correction, gamma_from_eta(eps) = eta(eps/48) extracts slack from a
+    correction routine, and zeta(eps) = gamma(eps/2) survives dense limits.
+
+    eta equals nu(eps/3) except on finitely supported l1, where the
+    correction runs through the dense lift on zeta(eps/3) and eta(eps) is
+    zeta(eps/3)^2 (below 2^-53 for eps <= 3/10).
     """
 
     space: SpaceDescriptor
@@ -60,7 +64,7 @@ class ConstantsSchedule:
         return self.nu(coerce(eps) / 4)
 
     def eta(self, eps: Scalar) -> Scalar:
-        return self.nu(coerce(eps) / 3)
+        return self.base_slack(coerce(eps) / 3) ** 2
 
     def gamma_from_eta(self, eps: Scalar) -> Scalar:
         return self.eta(coerce(eps) / 48)
@@ -87,6 +91,13 @@ def schedule(space: SpaceDescriptor) -> ConstantsSchedule:
 
 @dataclass(frozen=True)
 class FixRequest:
+    """The inputs of one fix, validated once here for every route.
+
+    The active set is a nonempty subset of 1..4, eps lies in (0, 1), and the
+    quadruple is admissible.  Each fix checks only its own route's
+    preconditions on top: family, functional kind, and pairing slack.
+    """
+
     quad: Quad
     functional: Functional
     active: FrozenSet[int]
@@ -99,10 +110,25 @@ class FixRequest:
         eps = coerce(eps)
         if not 0 < eps < 1:
             raise DomainError(f"eps must lie in (0, 1): {eps}")
+        report = check_membership(quad)
+        if not report.member:
+            raise PreconditionError(f"input is not an admissible quadruple "
+                                    f"(slack {report.slack} at {report.worst})")
         object.__setattr__(self, "quad", quad)
         object.__setattr__(self, "functional", functional)
         object.__setattr__(self, "active", active)
         object.__setattr__(self, "eps", eps)
+
+
+def _request(quad: Quad, functional: Functional, active: FrozenSet[int],
+             eps: Scalar) -> FixRequest:
+    """Wrap inputs already known to satisfy FixRequest's checks, unchecked."""
+    r = object.__new__(FixRequest)
+    object.__setattr__(r, "quad", quad)
+    object.__setattr__(r, "functional", functional)
+    object.__setattr__(r, "active", active)
+    object.__setattr__(r, "eps", eps)
+    return r
 
 
 @dataclass(frozen=True)
@@ -118,14 +144,7 @@ def _displacements(original: Quad, corrected: Quad):
     return tuple(norm(z - y) for y, z in zip(original.ys, corrected.ys))
 
 
-def _check_member(q: Quad, what: str):
-    report = check_membership(q)
-    if not report.member:
-        raise PreconditionError(f"{what} is not an admissible quadruple "
-                                f"(slack {report.slack} at {report.worst})")
-
-
-def singleton_fix(q: Quad, j: int, eps: Scalar) -> FixResult:
+def singleton_fix(request: FixRequest) -> FixResult:
     """Fix a one-element active set {j}: normalize y_j, nudge the rest.
 
     Requires ||y_j|| > 1 - eps/6.  After shifting j to the first slot, the
@@ -133,12 +152,10 @@ def singleton_fix(q: Quad, j: int, eps: Scalar) -> FixResult:
     vector by (eps/3, eps/6, -eps/6) so every alternating triple stays inside
     the ball.
     """
-    eps = coerce(eps)
-    if not 0 < eps < 1:
-        raise DomainError(f"eps must lie in (0, 1): {eps}")
-    if j not in (1, 2, 3, 4):
-        raise DomainError(f"index out of range: {j}")
-    _check_member(q, "input")
+    q, eps = request.quad, request.eps
+    if len(request.active) != 1:
+        raise DomainError(f"singleton_fix needs one active index: {set(request.active)}")
+    (j,) = request.active
     if not norm(q[j - 1]) > 1 - eps / 6:
         raise PreconditionError(f"||y_{j}|| must exceed 1 - eps/6")
 
@@ -191,13 +208,11 @@ def uniformly_convex_fix(request: FixRequest) -> FixResult:
     if space.family not in ("lp", "r"):
         raise UnsupportedSpaceError(f"{space.family} is not uniformly convex")
     gamma = schedule(space).rho(eps)
-    _check_member(q, "input")
     for i in request.active:
         if not f(q[i - 1]) > 1 - gamma:
             raise PreconditionError(f"pairing at index {i} not above 1 - gamma")
     if len(request.active) == 1:
-        (j,) = request.active
-        return singleton_fix(q, j, eps)
+        return singleton_fix(request)
 
     r = min(request.active) - 1
     qs = cyclic_shift(q, r)
@@ -276,13 +291,11 @@ def l1_fix(request: FixRequest) -> FixResult:
     if f.kind != "sign-vector":
         raise UnsupportedSpaceError("l1_fix requires a sign-vector functional")
     rho = schedule(space).rho(eps)
-    _check_member(q, "input")
     for i in request.active:
         if not f(q[i - 1]) > 1 - rho:
             raise PreconditionError(f"pairing at index {i} not above 1 - rho")
     if len(request.active) == 1:
-        (j,) = request.active
-        return singleton_fix(q, j, eps)
+        return singleton_fix(request)
 
     log = []
     r = min(request.active) - 1
@@ -347,8 +360,7 @@ def dispatch_fix(request: FixRequest) -> FixResult:
     family = request.quad.space.family
     if family == "l1":
         if request.quad.space.infinite:
-            return dense_lift(request.quad, request.functional,
-                              request.active, request.eps)
+            return dense_lift(request)
         return l1_fix(request)
     if family in ("lp", "r"):
         return uniformly_convex_fix(request)
@@ -360,18 +372,15 @@ def convex_fix(q: Quad, alpha, eps: Scalar):
 
     Finds the support functional of sum(alpha_i y_i), collects the indices
     pairing above 1 - rho (their alpha-mass exceeds 1 - eps), and dispatches
-    to the family's fix.  Returns (active set, FixResult).
+    to the family's fix.  Returns (active set, FixResult).  eps and the
+    admissibility of q are validated by the FixRequest it dispatches.
     """
     eps = coerce(eps)
-    if not 0 < eps < 1:
-        raise DomainError(f"eps must lie in (0, 1): {eps}")
     alpha = tuple(coerce(a) for a in alpha)
     tol = tol_of(*alpha)
     if len(alpha) != 4 or any(a < -tol for a in alpha) or abs(sum(alpha) - 1) > tol:
         raise DomainError("alpha must be four convex weights")
-    _check_member(q, "input")
-    sched = schedule(q.space)
-    rho = sched.base_slack(eps)
+    rho = schedule(q.space).base_slack(eps)
     nu = rho * rho
 
     combo = q[0].scale(alpha[0])
@@ -380,46 +389,30 @@ def convex_fix(q: Quad, alpha, eps: Scalar):
     if not norm(combo) > 1 - nu:
         raise PreconditionError("||sum alpha_i y_i|| must exceed 1 - nu")
 
-    negated = False
     f = support_functional(combo)
-    if f(combo) < 0:  # support functionals pair nonnegatively; kept for safety
-        negated = True
-        q = negate(q)
-        combo = -combo
-        f = support_functional(combo)
-
     active = frozenset(i for i in (1, 2, 3, 4) if f(q[i - 1]) > 1 - rho)
     if not active:
         raise PreconditionError("no index pairs above 1 - rho")
     mass = sum(alpha[i - 1] for i in active)
-    if not mass >= 1 - nu / rho - tol:
+    if not mass >= 1 - rho - tol:  # 1 - nu/rho, as nu = rho^2
         raise PreconditionError("active alpha-mass fell below 1 - nu/rho")
-
-    result = dispatch_fix(FixRequest(q, f, active, eps))
-    if negated:
-        result = FixResult(negate(result.corrected), result.certified,
-                           result.displacements, result.label,
-                           result.transform_log + ("negate",))
-    return active, result
+    return active, dispatch_fix(FixRequest(q, f, active, eps))
 
 
-def dense_lift(q: Quad, f: Functional, active, eps: Scalar) -> FixResult:
+def dense_lift(request: FixRequest) -> FixResult:
     """Correction over finitely supported l1 via a finite section.
 
     Chooses t below a quarter of both eps/2 and the available functional
     slack over 1 - gamma(eps/2), truncates to the smallest l1^n containing
     all supports (exact here: the vectors are already finitely supported),
-    shrinks by 1/(1+3t), and corrects inside l1^n at eps/2.
+    shrinks by 1/(1+3t), and corrects inside l1^n at eps/2.  The section is
+    admissible whenever q is, so its request skips FixRequest's checks.
     """
+    q, f, active, eps = request.quad, request.functional, request.active, request.eps
     space = q.space
     if space.family != "l1" or not space.infinite:
         raise UnsupportedSpaceError("dense_lift requires finitely supported l1")
-    eps = coerce(eps)
-    if not 0 < eps < 1:
-        raise DomainError(f"eps must lie in (0, 1): {eps}")
-    active = frozenset(active)
-    sched = schedule(space)
-    g_half = sched.gamma(eps / 2)
+    g_half = schedule(space).gamma(eps / 2)
     slack = min(f(q[i - 1]) - 1 + g_half for i in active)
     if not slack > 0:
         raise PreconditionError("pairings must exceed 1 - gamma(eps/2) on the active set")
@@ -437,7 +430,7 @@ def dense_lift(q: Quad, f: Functional, active, eps: Scalar) -> FixResult:
     for i in active:
         if not fr(inner_q[i - 1]) > 1 - g_half:
             raise PreconditionError("truncated pairings lost too much slack")
-    inner = l1_fix(FixRequest(inner_q, fr, active, eps / 2))
+    inner = l1_fix(_request(inner_q, fr, active, eps / 2))
 
     lifted = Quad(tuple(YVec(space, z.coords) for z in inner.corrected.ys))
     log = (f"truncate:n={n}", f"shrink:t={t}") + inner.transform_log

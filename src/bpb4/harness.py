@@ -23,7 +23,7 @@ from .certify import correct, verify_certificate
 from .cube import SignedPerm, Vec4, vertex
 from .errors import BPB4Error, DomainError, PreconditionError, SizeError
 from .fixes import schedule
-from .quadop import Quad, active_sum_norm, apply, check_membership, diff, op_norm
+from .quadop import Quad, active_sum_norm, apply, check_membership, op_norm
 from .scalars import Scalar, coerce, is_exact, scalar_to_json
 from .serial import instance_to_json
 from .spaces import SpaceDescriptor, YVec, norm, unit_first
@@ -267,7 +267,7 @@ def make_instance(space: SpaceDescriptor, eps: Scalar, seed: int,
                   index: int) -> Tuple[Quad, Vec4]:
     """A deterministic (T, x0) with op_norm(T) = 1 and ||T x0|| > 1 - eta."""
     eps = coerce(eps)
-    eta = schedule(space).base_slack(eps / 3) ** 2
+    eta = schedule(space).eta(eps)
     rng = random.Random(f"{seed}:{_space_key(space)}:{eps}:{index}")
     base = gen_quad(GenSpec(space, rng.randrange(2**63), mode="boundary"))
     # Blend toward the constant quadruple tightly enough that every extreme
@@ -299,7 +299,7 @@ def sweep(space: SpaceDescriptor, eps_list: Sequence[Scalar], count: int,
     sched = schedule(space)
     for eps in eps_list:
         eps = coerce(eps)
-        eta = sched.base_slack(eps / 3) ** 2
+        eta = sched.eta(eps)
         for i in range(count):
             T = x0 = None
             for attempt in range(5):

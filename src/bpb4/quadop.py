@@ -79,10 +79,6 @@ def check_membership(q: Quad, tol=None) -> MembershipReport:
     return MembershipReport(member=slack >= -tol, slack=slack, worst=worst_label)
 
 
-def is_member(q: Quad, tol=None) -> bool:
-    return check_membership(q, tol).member
-
-
 def apply(q: Quad, x: Vec4) -> YVec:
     """Action of the unique linear operator with T(v_i) = y_i."""
     c = coords(x)
@@ -97,10 +93,6 @@ def op_norm(q: Quad) -> Scalar:
     return max(norm(v) for _, v in _extreme_images(q))
 
 
-def negate(q: Quad) -> Quad:
-    return Quad(tuple(-y for y in q.ys))
-
-
 def cyclic_shift(q: Quad, r: int) -> Quad:
     """Apply (y1,y2,y3,y4) -> (y2,y3,y4,-y1) r times.
 
@@ -113,19 +105,10 @@ def cyclic_shift(q: Quad, r: int) -> Quad:
     return Quad(tuple(ys))
 
 
-def shift_index(i: int, r: int) -> int:
-    """Where the 1-based slot i lands after r cyclic shifts (sign ignored)."""
-    return (i - 1 - r) % 4 + 1
-
-
 def diff(a: Quad, b: Quad) -> Quad:
     if a.space != b.space:
         raise DomainError("mixed spaces in quadruple difference")
     return Quad(tuple(x - y for x, y in zip(a.ys, b.ys)))
-
-
-def scale(q: Quad, c: Scalar) -> Quad:
-    return Quad(tuple(y.scale(c) for y in q.ys))
 
 
 def active_sum_norm(q: Quad, active) -> Scalar:

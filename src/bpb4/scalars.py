@@ -10,7 +10,7 @@ expressions degrade to float, and every tolerance-sensitive check asks
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 Scalar = Union[Fraction, float]
 
@@ -47,7 +47,10 @@ def parse_scalar(text, backend: str = "rational") -> Scalar:
     if backend not in ("rational", "float"):
         raise ValueError(f"unknown backend {backend!r}")
     if isinstance(text, str):
-        value = Fraction(text)
+        try:
+            value = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     elif isinstance(text, (int, Fraction)):
         value = Fraction(text)
     elif isinstance(text, float):
@@ -65,6 +68,3 @@ def scalar_to_json(value: Scalar):
         return f"{value}/1"
     return float(value)
 
-
-def parse_scalars(values: Iterable, backend: str = "rational") -> tuple:
-    return tuple(parse_scalar(v, backend) for v in values)

@@ -17,8 +17,6 @@ from typing import Optional, Tuple
 from .errors import DomainError, UnsupportedSpaceError
 from .scalars import Scalar, coerce, is_exact, tol_of
 
-INFINITE = None  # dimension marker for finitely supported l1
-
 
 @dataclass(frozen=True)
 class SpaceDescriptor:

@@ -22,6 +22,7 @@ from bpb4 import (
     op_norm,
     reals,
     schedule,
+    serial,
     verify_certificate,
     vertex,
 )
@@ -80,6 +81,15 @@ class TestCorrect:
         T = real_quad(1, 1, 1, 1)
         with pytest.raises(DomainError):
             correct(T, Vec4((F(1, 2), 0, 0, 0)), F(3, 10))
+
+    def test_float_eta_below_double_precision(self):
+        # eta(3/10) on finitely supported l1 is about 9.4e-18, so 1 - eta is
+        # 1.0 in double precision and the entry check could never pass.
+        T, x0 = make_instance(l1(None), F(3, 10), 0, 0)
+        Tf, x0f = serial.instance_from_json(serial.instance_to_json(T, x0), "float")
+        with pytest.raises(DomainError, match="below double precision"):
+            correct(Tf, x0f, 0.3)
+        assert verify_certificate(correct(T, x0, F(3, 10))).ok
 
     def test_point_distance_tracks_inactive_mass(self):
         # u0 renormalizes the weights over the active set, so the distance is

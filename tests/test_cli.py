@@ -79,6 +79,49 @@ class TestCorrectAndVerify:
     def test_missing_file_is_usage_error(self):
         assert main(["correct", "/nonexistent.json", "--eps", "1/4"]) == 3
 
+    def test_float_eta_below_double_precision_is_exit_two(self, tmp_path, capsys):
+        # On finitely supported l1, eta(3/10) is about 9.4e-18: 1 - eta rounds
+        # to 1 in double precision, so only the rational backend can run it.
+        T, x0 = make_instance(l1(None), F(3, 10), 0, 0)
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(serial.instance_to_json(T, x0)))
+        assert main(["--backend", "float", "correct", str(path),
+                     "--eps", "3/10"]) == 2
+        assert "below double precision" in capsys.readouterr().err
+        assert main(["correct", str(path), "--eps", "3/10"]) == 0
+
+
+class TestNoTracebacks:
+    """Bad numbers and unwritable outputs are usage errors (exit 3)."""
+
+    def _assert_usage_error(self, argv, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(("usage error:", "malformed input:"))
+        assert "Traceback" not in err
+
+    def test_correct_zero_denominator_eps(self, instance_file, capsys):
+        self._assert_usage_error(["correct", instance_file, "--eps", "1/0"], capsys)
+
+    def test_sweep_zero_denominator_eps(self, tmp_path, capsys):
+        self._assert_usage_error(["sweep", "--space", "l1:2", "--eps", "1/0",
+                                  "--count", "1", "--out",
+                                  str(tmp_path / "s.csv")], capsys)
+
+    def test_gen_zero_denominator_exponent(self, capsys):
+        self._assert_usage_error(["gen", "--space", "lp:1/0:2", "--seed", "0"],
+                                 capsys)
+
+    def test_correct_unwritable_out(self, instance_file, tmp_path, capsys):
+        out = str(tmp_path / "missing-dir" / "c.json")
+        self._assert_usage_error(["correct", instance_file, "--eps", "3/10",
+                                  "--out", out], capsys)
+
+    def test_sweep_unwritable_out(self, tmp_path, capsys):
+        out = str(tmp_path / "missing-dir" / "s.csv")
+        self._assert_usage_error(["sweep", "--space", "l1:2", "--eps", "3/10",
+                                  "--count", "1", "--out", out], capsys)
+
 
 class TestGen:
     def test_deterministic_output(self, capsys):
@@ -119,6 +162,17 @@ class TestCheckAhsp:
         path = tmp_path / "req.json"
         path.write_text(json.dumps(data))
         assert main(["check-ahsp", str(path)]) == 2
+
+    def test_inadmissible_quad_is_exit_two(self, tmp_path, capsys):
+        sp = l1(2)
+        big = YVec(sp, (F(9, 8), 0))  # every pairing clears its slack
+        data = {"quad": serial.quad_to_json(Quad((big,) * 4)),
+                "functional": {"kind": "sign-vector", "coords": [1, 1]},
+                "active": [1, 2, 3, 4], "eps": "1/4"}
+        path = tmp_path / "req.json"
+        path.write_text(json.dumps(data))
+        assert main(["check-ahsp", str(path)]) == 2
+        assert "admissible" in capsys.readouterr().err
 
 
 class TestBruteSearch:

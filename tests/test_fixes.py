@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bpb4 import (
     ConstantsSchedule,
+    DomainError,
     FixRequest,
     Functional,
     GenSpec,
@@ -38,7 +39,6 @@ from bpb4 import (
     uniformly_convex_fix,
     unit_first,
 )
-from bpb4.quadop import negate
 from bpb4.spaces import coordinate_sum, is_nonnegative
 from helpers import (
     assert_fix_postconditions,
@@ -58,6 +58,10 @@ eps_st = st.fractions(min_value=F(1, 100), max_value=F(99, 100),
 
 def real_quad(*values) -> Quad:
     return Quad(tuple(YVec(reals(), (F(v),)) for v in values))
+
+
+def singleton_request(q: Quad, j: int, eps) -> FixRequest:
+    return FixRequest(q, support_functional(q[j - 1]), {j}, eps)
 
 
 class TestSchedule:
@@ -89,28 +93,35 @@ class TestSchedule:
         assert schedule(l1(None)).base_slack(eps) == schedule(l1(2)).zeta(eps)
         assert schedule(l1(2)).base_slack(eps) == schedule(l1(2)).rho(eps)
 
+    def test_eta_is_the_squared_base_slack(self):
+        eps = F(3, 10)
+        for space in (l1(2), l1(None), reals()):
+            s = schedule(space)
+            assert s.eta(eps) == s.base_slack(eps / 3) ** 2
+        assert schedule(l1(None)).eta(eps) == schedule(l1(2)).zeta(eps / 3) ** 2
+
 
 class TestSingleton:
     def test_example_reals(self):
-        res = singleton_fix(real_quad(1, 0, 0, 0), 1, F(3, 5))
+        res = singleton_fix(singleton_request(real_quad(1, 0, 0, 0), 1, F(3, 5)))
         assert [y.coords[0] for y in res.corrected.ys] == \
             [F(1), F(1, 5), F(1, 10), F(-1, 10)]
         assert res.certified == {1}
 
     def test_unit_vector_is_fixed(self):
-        res = singleton_fix(real_quad(1, 0, 0, 0), 1, F(3, 5))
+        res = singleton_fix(singleton_request(real_quad(1, 0, 0, 0), 1, F(3, 5)))
         assert res.displacements[0] == 0
 
     def test_off_slot_index_matches_shifted_run(self):
         q = real_quad(F(1, 4), F(1, 4), F(63, 64), F(1, 4))
         eps = F(1, 2)
-        res = singleton_fix(q, 3, eps)
-        shifted = singleton_fix(cyclic_shift(q, 2), 1, eps)
+        res = singleton_fix(singleton_request(q, 3, eps))
+        shifted = singleton_fix(singleton_request(cyclic_shift(q, 2), 1, eps))
         assert cyclic_shift(shifted.corrected, 6) == res.corrected
 
     def test_norm_precondition(self):
         with pytest.raises(PreconditionError):
-            singleton_fix(real_quad(F(1, 2), 0, 0, 0), 1, F(1, 4))
+            singleton_fix(singleton_request(real_quad(F(1, 2), 0, 0, 0), 1, F(1, 4)))
 
     @given(st.integers(min_value=0, max_value=10**6),
            st.sampled_from((1, 2, 3, 4)))
@@ -120,9 +131,9 @@ class TestSingleton:
         q = blend(gen_quad(GenSpec(l1(3), seed, "boundary")),
                   cyclic_shift(constant_quad(l1(3), 1), (8 - (j - 1)) % 8),
                   1 - eps / 24)
-        res = singleton_fix(q, j, eps)
+        req = singleton_request(q, j, eps)
+        res = singleton_fix(req)
         assert norm(res.corrected[j - 1]) == 1
-        req = FixRequest(q, support_functional(q[j - 1]), {j}, eps)
         assert_fix_postconditions(req, res)
 
 
@@ -392,9 +403,9 @@ class TestConvexFix:
             if any(c == 0 for c in combo.coords):
                 continue
             a1, r1 = convex_fix(q, alpha, eps)
-            a2, r2 = convex_fix(negate(q), alpha, eps)
+            a2, r2 = convex_fix(cyclic_shift(q, 4), alpha, eps)
             assert a1 == a2
-            assert r2.corrected == negate(r1.corrected)
+            assert r2.corrected == cyclic_shift(r1.corrected, 4)
 
 
 class TestDenseLift:
@@ -405,15 +416,15 @@ class TestDenseLift:
                          slack=schedule(sp).zeta(eps))
         q = Quad(tuple(YVec(sp, y.coords) for y in req.quad.ys))
         f = Functional(sp, "sign-vector", req.functional.coords)
-        return q, f, req.active, eps
+        return FixRequest(q, f, req.active, eps)
 
     def test_agrees_with_finite_fix_up_to_rescale(self):
-        q, f, active, eps = self._request(3)
-        res = dense_lift(q, f, active, eps)
-        assert res.certified >= active
+        req = self._request(3)
+        res = dense_lift(req)
+        assert res.certified >= req.active
         assert check_membership(res.corrected).member
         assert active_sum_norm(res.corrected, res.certified) == len(res.certified)
-        assert all(d < eps for d in res.displacements)
+        assert all(d < req.eps for d in res.displacements)
         assert any(step.startswith("truncate:") for step in res.transform_log)
 
     def test_slack_precondition(self):
@@ -422,15 +433,57 @@ class TestDenseLift:
         q = Quad((e1.scale(F(1, 2)), e1, -e1, -e1))
         f = Functional(sp, "sign-vector", (1,))
         with pytest.raises(PreconditionError):
-            dense_lift(q, f, {1, 2}, F(1, 4))
+            dense_lift(FixRequest(q, f, {1, 2}, F(1, 4)))
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_random_instances(self, k):
         for seed in range(10):
-            q, f, active, eps = self._request(seed, k)
-            res = dense_lift(q, f, active, eps)
-            req = FixRequest(q, f, active, eps)
+            req = self._request(seed, k)
+            res = dense_lift(req)
             assert_fix_postconditions(req, res)
+
+
+class TestInadmissibleInput:
+    """Every fix refuses a quadruple outside the operator unit ball, even
+    when the pairings and norms its own route checks are all in range."""
+
+    # Every vector of the constant quadruple stretched to norm 9/8.
+    BIG = Quad(tuple(y.scale(F(9, 8)) for y in constant_quad(l1(2), 4).ys))
+    SUM = Functional(l1(2), "sign-vector", (1, 1))
+
+    def test_l1_fix(self):
+        with pytest.raises(PreconditionError):
+            l1_fix(FixRequest(self.BIG, self.SUM, {1, 2, 3, 4}, F(1, 4)))
+
+    def test_uniformly_convex_fix(self):
+        q = real_quad(1, 1, -1, 1)  # y1 - y3 + y4 = 3
+        f = Functional(reals(), "dual-coordinates", (1,))
+        with pytest.raises(PreconditionError):
+            uniformly_convex_fix(FixRequest(q, f, {1, 2}, F(1, 2)))
+
+    def test_singleton_fix(self):
+        with pytest.raises(PreconditionError):  # y1 - y2 + y3 = 3
+            singleton_fix(singleton_request(real_quad(1, -1, 1, 0), 1, F(1, 4)))
+
+    def test_dense_lift(self):
+        sp = l1(None)
+        q = Quad((unit_first(sp).scale(F(9, 8)),) * 4)
+        f = Functional(sp, "sign-vector", (1,))
+        with pytest.raises(PreconditionError):
+            dense_lift(FixRequest(q, f, {1, 2, 3, 4}, F(1, 4)))
+
+    def test_convex_fix(self):
+        with pytest.raises(PreconditionError):
+            convex_fix(self.BIG, (F(1, 4),) * 4, F(1, 4))
+
+    def test_fix_request(self):
+        with pytest.raises(PreconditionError, match="admissible"):
+            FixRequest(self.BIG, self.SUM, {1, 2, 3, 4}, F(1, 4))
+
+    def test_singleton_fix_needs_one_active_index(self):
+        req = l1_request(dim=2, k=2, eps=F(1, 4), seed=0)
+        with pytest.raises(DomainError):
+            singleton_fix(req)
 
 
 class TestDispatch:

@@ -41,6 +41,10 @@ class TestScalars:
         assert parse_scalar("1/4", "float") == 0.25
         assert isinstance(parse_scalar("1/4", "float"), float)
 
+    def test_zero_denominator_is_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar("1/0")
+
 
 class TestSpaces:
     @pytest.mark.parametrize("space", [reals(), l1(3), l1(None), lp(2, 4),
