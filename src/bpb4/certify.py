@@ -58,6 +58,21 @@ def _residuals(T: Quad, x0: Vec4, S: Quad, u0: Vec4) -> Dict[str, Scalar]:
     }
 
 
+def entry_slack(space: SpaceDescriptor, eps: Scalar) -> Scalar:
+    """The entry slack eta(eps) of ``correct``, for an eps in (0, 1).
+
+    Raises DomainError when eps lies outside (0, 1), and when a float eta is
+    so small that 1 - eta rounds to 1: the rational backend handles that.
+    """
+    if not 0 < eps < 1:
+        raise DomainError(f"eps must lie in (0, 1): {eps}")
+    eta = schedule(space).eta(eps)
+    if 1 - eta == 1:
+        raise DomainError(f"eta(eps) = {eta} is below double precision; "
+                          f"use the rational backend")
+    return eta
+
+
 def correct(T: Quad, x0: Vec4, eps: Scalar) -> Certificate:
     """Correct a nearly-attaining pair (T, x0) to an exactly attaining one.
 
@@ -68,18 +83,13 @@ def correct(T: Quad, x0: Vec4, eps: Scalar) -> Certificate:
     1 - eta rounds to 1 is a DomainError: the rational backend handles it.
     """
     eps = coerce(eps)
-    if not 0 < eps < 1:
-        raise DomainError(f"eps must lie in (0, 1): {eps}")
+    eta = entry_slack(T.space, eps)
     t_norm = op_norm(T)
     tol = tol_of(t_norm, *x0.coords)
-    if abs(t_norm - 1) > tol:
+    if not abs(t_norm - 1) <= tol:
         raise DomainError("operator must have norm one")
-    if abs(x0.sup_norm() - 1) > tol:
+    if not abs(x0.sup_norm() - 1) <= tol:
         raise DomainError("x0 must be a unit vector")
-    eta = schedule(T.space).eta(eps)
-    if 1 - eta == 1:
-        raise DomainError(f"eta(eps) = {eta} is below double precision; "
-                          f"use the rational backend")
     if not norm(apply(T, x0)) > 1 - eta:
         raise PreconditionError("||T x0|| must exceed 1 - eta(eps)")
 
@@ -164,9 +174,9 @@ def extract_ahsp(T: Quad, x0: Vec4, S: Quad, u0: Vec4, eps: Scalar):
     if not in_base_simplex(x0):
         raise DomainError("x0 must lie in the base simplex")
     tol = tol_of(op_norm(S), *u0.coords)
-    if abs(norm(apply(S, u0)) - 1) > tol:
+    if not abs(norm(apply(S, u0)) - 1) <= tol:
         raise PreconditionError("S must attain its norm at u0")
-    if abs(op_norm(T) - 1) > tol:
+    if not abs(op_norm(T) - 1) <= tol:
         raise PreconditionError("T must have norm one")
     if not (u0 - x0).sup_norm() < eps / 12:
         raise PreconditionError("||u0 - x0|| must be below eps/12")
@@ -175,7 +185,7 @@ def extract_ahsp(T: Quad, x0: Vec4, S: Quad, u0: Vec4, eps: Scalar):
 
     # S also attains at the flattened point with first coordinate forced to 1.
     flat = Vec4((1, u0[1], u0[2], u0[3]))
-    if abs(norm(apply(S, flat)) - 1) > tol:
+    if not abs(norm(apply(S, flat)) - 1) <= tol:
         raise PreconditionError("S does not attain at the flattened point")
 
     cf = close_face_correct(x0, flat, eps / 12)

@@ -153,6 +153,13 @@ def _cmd_brute_search(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative: {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="bpb4", description=__doc__)
     parser.add_argument("--backend", choices=("rational", "float"),
@@ -181,7 +188,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="run a correction sweep and write a CSV")
     p.add_argument("--space", required=True)
     p.add_argument("--eps", required=True, help="comma-separated list")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--timing", action="store_true")

@@ -24,6 +24,8 @@ from .spaces import (
     SpaceDescriptor,
     YVec,
     coordinate_sum,
+    embed,
+    flip_signs,
     modulus_convexity,
     norm,
     positive_part,
@@ -250,11 +252,15 @@ def repair_nonnegative(x: YVec, y: YVec, z: YVec, s: Scalar, t: Scalar) -> YVec:
     if s < 0 or t < 0:
         raise DomainError("s and t must be nonnegative")
     d = x - y + z
-    tol = tol_of(*d.coords)
-    if not coordinate_sum(d) >= 1 - s - tol:
+    total, size = coordinate_sum(d), norm(d)
+    tol = tol_of(total, size)
+    if not total >= 1 - s - tol:
         raise PreconditionError("sum(x - y + z) falls below 1 - s")
-    if not norm(d) <= 1 + t + tol:
+    if not size <= 1 + t + tol:
         raise PreconditionError("||x - y + z|| exceeds 1 + t")
+    if d.is_exact():
+        # Exactly the coordinate rule below: z_k + max(0, y_k - x_k - z_k).
+        return z + positive_part(-d)
     n = max(len(x.coords), len(y.coords), len(z.coords))
     pad = lambda v: v.coords + (Fraction(0),) * (n - len(v.coords))
     w = tuple(zk if yk <= xk + zk else yk - xk
@@ -265,10 +271,6 @@ def repair_nonnegative(x: YVec, y: YVec, z: YVec, s: Scalar, t: Scalar) -> YVec:
 def _canonical_signs(f: Functional, width: int) -> Tuple[int, ...]:
     signs = tuple(int(c) for c in f.coords[:width])
     return signs + (1,) * (width - len(signs))
-
-
-def _apply_signs(y: YVec, signs) -> YVec:
-    return YVec(y.space, tuple(s * c for s, c in zip(signs, y.coords)))
 
 
 def l1_fix(request: FixRequest) -> FixResult:
@@ -305,7 +307,7 @@ def l1_fix(request: FixRequest) -> FixResult:
     signs = _canonical_signs(f, space.dim)
     if any(s != 1 for s in signs):
         log.append("sign-canonicalize")
-    a_vecs = [_apply_signs(y, signs) for y in qs.ys]
+    a_vecs = [flip_signs(y, signs) for y in qs.ys]
 
     max_active = max(i - r for i in request.active)
     interval = range(1, max_active + 1)
@@ -348,7 +350,7 @@ def l1_fix(request: FixRequest) -> FixResult:
         inv96 = 1 / (1 + 96 * rho)
         z = [yi.scale(inv96) + e1.scale(1 - norm(yi) * inv96) for yi in y]
 
-    z = [_apply_signs(zi, signs) for zi in z]
+    z = [flip_signs(zi, signs) for zi in z]
     corrected = cyclic_shift(Quad(tuple(z)), (8 - r) % 8)
     certified = frozenset(i + r for i in interval)
     return FixResult(corrected, certified, _displacements(q, corrected),
@@ -378,7 +380,8 @@ def convex_fix(q: Quad, alpha, eps: Scalar):
     eps = coerce(eps)
     alpha = tuple(coerce(a) for a in alpha)
     tol = tol_of(*alpha)
-    if len(alpha) != 4 or any(a < -tol for a in alpha) or abs(sum(alpha) - 1) > tol:
+    if (len(alpha) != 4 or not all(a >= -tol for a in alpha)
+            or not abs(sum(alpha) - 1) <= tol):
         raise DomainError("alpha must be four convex weights")
     rho = schedule(q.space).base_slack(eps)
     nu = rho * rho
@@ -422,17 +425,14 @@ def dense_lift(request: FixRequest) -> FixResult:
     finite = SpaceDescriptor("l1", dim=n)
     fr = f.restrict(n)
     shrink = 1 / (1 + 3 * t)
-    ys = tuple(
-        YVec(finite, y.coords + (Fraction(0),) * (n - len(y.coords))).scale(shrink)
-        for y in q.ys
-    )
+    ys = tuple(embed(y, finite).scale(shrink) for y in q.ys)
     inner_q = Quad(ys)
     for i in active:
         if not fr(inner_q[i - 1]) > 1 - g_half:
             raise PreconditionError("truncated pairings lost too much slack")
     inner = l1_fix(_request(inner_q, fr, active, eps / 2))
 
-    lifted = Quad(tuple(YVec(space, z.coords) for z in inner.corrected.ys))
+    lifted = Quad(tuple(embed(z, space) for z in inner.corrected.ys))
     log = (f"truncate:n={n}", f"shrink:t={t}") + inner.transform_log
     return FixResult(lifted, inner.certified, _displacements(q, lifted),
                      inner.label, log)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .certify import correct, verify_certificate
+from .certify import correct, entry_slack, verify_certificate
 from .cube import SignedPerm, Vec4, vertex
 from .errors import BPB4Error, DomainError, PreconditionError, SizeError
 from .fixes import schedule
@@ -289,17 +289,17 @@ def sweep(space: SpaceDescriptor, eps_list: Sequence[Scalar], count: int,
           seed: int, timing: bool = False) -> Tuple[List[SweepRow], str, int]:
     """Run the full correction over a grid of eps values and random instances.
 
-    Returns (rows, csv_text, skipped).  Any verification failure raises
-    SweepFailure with the offending instance serialized.  The CSV is
-    byte-reproducible for a fixed seed on the rational backend as long as
-    ``timing`` stays off (the runtime column is left empty then).
+    Returns (rows, csv_text, skipped).  Every eps is checked as ``correct``
+    checks it (``entry_slack``) before any instance is generated.  Any
+    verification failure raises SweepFailure with the offending instance
+    serialized.  The CSV is byte-reproducible for a fixed seed on the
+    rational backend as long as ``timing`` stays off (the runtime column is
+    left empty then).
     """
     rows: List[SweepRow] = []
     skipped = 0
-    sched = schedule(space)
-    for eps in eps_list:
-        eps = coerce(eps)
-        eta = sched.eta(eps)
+    grid = [(eps, entry_slack(space, eps)) for eps in map(coerce, eps_list)]
+    for eps, eta in grid:
         for i in range(count):
             T = x0 = None
             for attempt in range(5):

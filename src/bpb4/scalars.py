@@ -10,6 +10,7 @@ expressions degrade to float, and every tolerance-sensitive check asks
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isfinite
 from typing import Union
 
 Scalar = Union[Fraction, float]
@@ -19,15 +20,21 @@ FLOAT_TOL = 1e-9
 
 
 def coerce(value) -> Scalar:
-    """Normalize a raw number: ints become Fractions, floats stay floats."""
+    """Normalize a raw number: ints become Fractions, floats stay floats.
+
+    This is where every scalar enters, so NaN and the infinities are
+    rejected here (ValueError), and a float subclass becomes a plain float.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, float):
+        if not isfinite(value):
+            raise ValueError(f"not a finite scalar: {value!r}")
+        return value if type(value) is float else float(value)
     if isinstance(value, bool):
         raise TypeError("booleans are not scalars")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        return value
     if isinstance(value, str):
         return parse_scalar(value)
     raise TypeError(f"not a scalar: {value!r}")

@@ -3,7 +3,9 @@ sup-norm spaces, and the reals.
 
 Vectors are dense coordinate tuples; in the infinite l1 case the tuple is
 the finite support prefix and shorter vectors are zero-padded on demand.
-l1 and sup norms stay exact on the rational backend; lp norms are floats.
+Exact vectors are stored as integer numerators over one denominator (see
+``YVec``).  l1 and sup norms stay exact on the rational backend; lp norms
+are floats.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ class SpaceDescriptor:
         if self.family not in ("l1", "lp", "sup", "r"):
             raise DomainError(f"unknown space family {self.family!r}")
         if self.family == "lp":
-            if self.p is None or not self.p > 1:
-                raise DomainError("lp requires p > 1")
+            if self.p is None or not 1 < self.p < math.inf:
+                raise DomainError("lp requires a finite p > 1")
             object.__setattr__(self, "p", coerce(self.p))
         elif self.p is not None:
             raise DomainError(f"{self.family} takes no exponent")
@@ -66,72 +68,176 @@ def sup_space(dim: int) -> SpaceDescriptor:
     return SpaceDescriptor("sup", dim=dim)
 
 
+_ZERO = Fraction(0)
+
+
 def _aligned(a: Tuple[Scalar, ...], b: Tuple[Scalar, ...]):
     if len(a) == len(b):
         return a, b
     n = max(len(a), len(b))
-    zero = Fraction(0) if is_exact(*a, *b) else 0.0
+    zero = _ZERO if is_exact(*a, *b) else 0.0
     return (a + (zero,) * (n - len(a)), b + (zero,) * (n - len(b)))
 
 
-@dataclass(frozen=True)
 class YVec:
-    """An element of a concrete codomain space."""
+    """An element of a concrete codomain space.
 
-    space: SpaceDescriptor
-    coords: Tuple[Scalar, ...]
+    ``coords`` is the public view: a tuple of Fractions or floats.  A vector
+    whose coordinates are all Fractions is exact and is stored as integer
+    numerators ``num`` over one positive denominator ``den``, reduced so that
+    ``gcd(den, *num) == 1``; equal exact vectors have equal ``(num, den)``.
+    Its ``coords`` are built from them on first read and kept.  Float and
+    mixed vectors store ``coords`` alone, with ``den`` None, and never build
+    numerators.  Vectors are immutable.
+    """
+
+    __slots__ = ("space", "_coords", "num", "den")
 
     def __init__(self, space: SpaceDescriptor, coords):
-        coords = tuple(coerce(c) for c in coords)
+        coords = tuple(map(coerce, coords))
         if not space.infinite and len(coords) != space.dim:
             raise DomainError(
                 f"coordinate count {len(coords)} != dimension {space.dim}"
             )
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "coords", coords)
+        _set_space(self, space)
+        _set_coords(self, coords)
+        if float in map(type, coords):
+            _set_den(self, None)
+        else:
+            # Over the lcm of reduced denominators the numerators are coprime
+            # to it already.
+            den = math.lcm(*[c.denominator for c in coords])
+            _set_num(self, tuple(c.numerator * (den // c.denominator)
+                                 for c in coords))
+            _set_den(self, den)
+
+    @property
+    def coords(self) -> Tuple[Scalar, ...]:
+        try:
+            return self._coords
+        except AttributeError:  # an exact vector's first read
+            den = self.den
+            coords = tuple(Fraction(n, den) for n in self.num)
+            _set_coords(self, coords)
+            return coords
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"YVec is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, YVec):
+            return NotImplemented
+        if self.space != other.space:
+            return False
+        if self.den is not None and other.den is not None:
+            return self.den == other.den and self.num == other.num
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.space, self.coords))
+
+    def __repr__(self):
+        return f"YVec(space={self.space!r}, coords={self.coords!r})"
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return YVec, (self.space, self.coords)
 
     def __add__(self, other: "YVec") -> "YVec":
-        _check_same_space(self, other)
-        a, b = _aligned(self.coords, other.coords)
-        return _yvec(self.space, tuple(map(operator.add, a, b)))
+        return _combine(self, other, operator.add)
 
     def __sub__(self, other: "YVec") -> "YVec":
-        _check_same_space(self, other)
-        a, b = _aligned(self.coords, other.coords)
-        return _yvec(self.space, tuple(map(operator.sub, a, b)))
+        return _combine(self, other, operator.sub)
 
     def __neg__(self) -> "YVec":
-        return _yvec(self.space, tuple(map(operator.neg, self.coords)))
+        if self.den is None:
+            return _yvec(self.space, tuple(map(operator.neg, self._coords)))
+        return _exact_reduced(self.space, tuple(map(operator.neg, self.num)),
+                              self.den)
 
     def scale(self, c: Scalar) -> "YVec":
-        return _yvec(self.space, tuple(c * x for x in self.coords))
+        if self.den is None:
+            return _yvec(self.space, tuple(c * x for x in self._coords))
+        if isinstance(c, float):
+            return _yvec(self.space, tuple(c * x for x in self.coords))
+        m = c.numerator
+        return _exact(self.space, tuple(m * n for n in self.num),
+                      self.den * c.denominator)
 
     def norm(self) -> Scalar:
         return norm(self)
 
     def is_exact(self) -> bool:
-        return is_exact(*self.coords)
+        return self.den is not None
+
+
+_set_space = YVec.space.__set__
+_set_coords = YVec._coords.__set__
+_set_num = YVec.num.__set__
+_set_den = YVec.den.__set__
+
+
+def _combine(a: YVec, b: YVec, op) -> YVec:
+    """a + b or a - b.  Exact operands cost one gcd of their denominators."""
+    if a.space is not b.space and a.space != b.space:
+        raise DomainError(f"mixed spaces: {a.space} vs {b.space}")
+    ad, bd = a.den, b.den
+    if ad is None or bd is None:
+        try:
+            ac, bc = _aligned(a._coords, b._coords)
+        except AttributeError:  # an exact operand whose coords were never read
+            ac, bc = _aligned(a.coords, b.coords)
+        return _yvec(a.space, tuple(map(op, ac, bc)))
+    an, bn = a.num, b.num
+    if len(an) != len(bn):
+        n = max(len(an), len(bn))
+        an, bn = an + (0,) * (n - len(an)), bn + (0,) * (n - len(bn))
+    if ad != bd:
+        g = math.gcd(ad, bd)
+        am, bm = bd // g, ad // g
+        an = tuple(x * am for x in an)
+        bn = tuple(x * bm for x in bn)
+        ad *= am
+    return _exact(a.space, tuple(map(op, an, bn)), ad)
 
 
 def _yvec(space: SpaceDescriptor, coords) -> YVec:
-    """Wrap already-normalized coordinates of the right length, unchecked.
+    """Wrap the float or mixed coordinates of an arithmetic result, unchecked.
 
-    Arithmetic on Fraction/float coordinates yields Fraction/float again, so
-    the vector operations skip the per-coordinate ``coerce`` of ``YVec()``.
+    Arithmetic with a float operand yields float or mixed coordinates of the
+    right length, so the vector operations skip the per-coordinate
+    ``coerce`` and the exactness scan of ``YVec()``.
     """
     v = object.__new__(YVec)
-    object.__setattr__(v, "space", space)
-    object.__setattr__(v, "coords", coords)
+    _set_space(v, space)
+    _set_coords(v, coords)
+    _set_den(v, None)
     return v
 
 
-def _check_same_space(a: YVec, b: YVec):
-    if a.space is not b.space and a.space != b.space:
-        raise DomainError(f"mixed spaces: {a.space} vs {b.space}")
+def _exact_reduced(space: SpaceDescriptor, num, den: int) -> YVec:
+    """Wrap integer numerators over a positive den, already in lowest terms."""
+    v = object.__new__(YVec)
+    _set_space(v, space)
+    _set_num(v, num)
+    _set_den(v, den)
+    return v
+
+
+def _exact(space: SpaceDescriptor, num, den: int) -> YVec:
+    """Wrap integer numerators over a positive den, dividing out their gcd."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = tuple(n // g for n in num)
+        den //= g
+    return _exact_reduced(space, num, den)
 
 
 def zero(space: SpaceDescriptor) -> YVec:
-    return YVec(space, () if space.infinite else (0,) * space.dim)
+    dim = 0 if space.infinite else space.dim
+    v = _exact_reduced(space, (0,) * dim, 1)
+    # Its coords are set too: apply() adds float images to this exact zero.
+    _set_coords(v, (_ZERO,) * dim)
+    return v
 
 
 def unit_first(space: SpaceDescriptor) -> YVec:
@@ -143,14 +249,22 @@ def unit_first(space: SpaceDescriptor) -> YVec:
 
 def norm(y: YVec) -> Scalar:
     family = y.space.family
+    if y.den is None:
+        coords = y._coords
+    elif family == "l1":
+        return Fraction(sum(map(abs, y.num)), y.den)
+    elif family == "lp":
+        coords = y.coords
+    else:  # sup, and the one coordinate of the reals
+        return Fraction(max(map(abs, y.num)), y.den)
     if family == "l1":
-        return sum(map(abs, y.coords), Fraction(0) if y.is_exact() else 0.0)
+        return sum(map(abs, coords), 0.0)
     if family == "sup":
-        return max(map(abs, y.coords))
+        return max(map(abs, coords))
     if family == "r":
-        return abs(y.coords[0])
+        return abs(coords[0])
     p = float(y.space.p)
-    return sum(abs(float(c)) ** p for c in y.coords) ** (1.0 / p)
+    return sum(abs(float(c)) ** p for c in coords) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -180,9 +294,14 @@ class Functional:
         if y.space != self.space:
             raise DomainError("functional applied across spaces")
         coords = self.coords
-        if self.kind == "sign-vector" and len(coords) < len(y.coords):
+        if self.kind == "sign-vector":
             # Unset sign entries default to +1 (finitely supported l1 duals).
-            coords = coords + (1,) * (len(y.coords) - len(coords))
+            if y.den is not None:
+                num = y.num
+                total = sum(n if s == 1 else -n for s, n in zip(coords, num))
+                return Fraction(total + sum(num[len(coords):]), y.den)
+            if len(coords) < len(y.coords):
+                coords = coords + (1,) * (len(y.coords) - len(coords))
         a, b = _aligned(coords, y.coords)
         return sum(f * c for f, c in zip(a, b))
 
@@ -218,8 +337,9 @@ def support_functional(y: YVec) -> Functional:
         raise DomainError("the zero vector has no support functional")
     family = y.space.family
     if family == "l1":
-        width = y.space.dim if not y.space.infinite else len(y.coords)
-        signs = tuple(1 if i >= len(y.coords) or y.coords[i] >= 0 else -1
+        entries = y.coords if y.den is None else y.num  # same signs: den > 0
+        width = y.space.dim if not y.space.infinite else len(entries)
+        signs = tuple(1 if i >= len(entries) or entries[i] >= 0 else -1
                       for i in range(max(width, 1)))
         return Functional(y.space, "sign-vector", signs)
     if family == "r":
@@ -260,16 +380,38 @@ def modulus_convexity(space: SpaceDescriptor, eps: Scalar) -> Scalar:
 
 
 def positive_part(y: YVec) -> YVec:
-    zero_s = Fraction(0) if y.is_exact() else 0.0
-    return YVec(y.space, tuple(c if c > 0 else zero_s for c in y.coords))
+    if y.den is not None:
+        return _exact(y.space, tuple(n if n > 0 else 0 for n in y.num), y.den)
+    return YVec(y.space, tuple(c if c > 0 else 0.0 for c in y._coords))
+
+
+def flip_signs(y: YVec, signs) -> YVec:
+    """Multiply coordinate k of y by signs[k], each +1 or -1."""
+    if y.den is not None:
+        return _exact_reduced(y.space, tuple(n if s > 0 else -n
+                                             for s, n in zip(signs, y.num)), y.den)
+    return YVec(y.space, tuple(s * c for s, c in zip(signs, y._coords)))
+
+
+def embed(y: YVec, space: SpaceDescriptor) -> YVec:
+    """y in another l1 space at least as wide, zero-padded to its dimension."""
+    if y.den is not None:
+        pad = 0 if space.infinite else space.dim - len(y.num)
+        return _exact_reduced(space, y.num + (0,) * pad, y.den)
+    pad = 0 if space.infinite else space.dim - len(y._coords)
+    return YVec(space, y._coords + (_ZERO,) * pad)
 
 
 def coordinate_sum(y: YVec) -> Scalar:
     """Pairing with the all-ones functional (the canonical l1 norming form)."""
-    return sum(y.coords, Fraction(0) if y.is_exact() else 0.0)
+    if y.den is not None:
+        return Fraction(sum(y.num), y.den)
+    return sum(y._coords, 0.0)
 
 
 def is_nonnegative(y: YVec, tol=None) -> bool:
+    if y.den is not None and tol is None:
+        return all(n >= 0 for n in y.num)
     if tol is None:
         tol = tol_of(*y.coords)
     floor = -tol

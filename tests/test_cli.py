@@ -7,6 +7,7 @@ import pytest
 
 from bpb4 import Quad, YVec, l1, lp, make_instance, reals, serial
 from bpb4.cli import main, parse_space
+from bpb4.scalars import FLOAT_TOL
 from helpers import l1_request
 
 F = Fraction
@@ -122,6 +123,30 @@ class TestNoTracebacks:
         self._assert_usage_error(["sweep", "--space", "l1:2", "--eps", "3/10",
                                   "--count", "1", "--out", out], capsys)
 
+    def test_sweep_negative_count(self, tmp_path, capsys):
+        self._assert_usage_error(["sweep", "--space", "l1:2", "--eps", "3/10",
+                                  "--count", "-3", "--out",
+                                  str(tmp_path / "s.csv")], capsys)
+
+    @pytest.mark.parametrize("eps", ["0", "1", "-1/2", "3/2"])
+    def test_sweep_eps_outside_unit_interval_is_exit_two(self, eps, tmp_path,
+                                                        capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--space", "l1:2", "--eps", f"1/10,{eps}",
+                     "--count", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: eps must lie in (0, 1)")
+        assert not out.exists()
+
+    def test_float_nan_coordinate(self, tmp_path, capsys):
+        T, x0 = make_instance(l1(2), F(3, 10), 0, 0)
+        data = serial.instance_to_json(T, x0, "float")
+        data["T"]["ys"][2][0] = float("nan")  # json writes the NaN literal
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        self._assert_usage_error(["--backend", "float", "correct", str(path),
+                                  "--eps", "3/10"], capsys)
+
 
 class TestGen:
     def test_deterministic_output(self, capsys):
@@ -146,6 +171,38 @@ class TestSweepCommand:
         assert main(args + ["--out", a]) == 0
         assert main(args + ["--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+    def test_float_eta_below_double_precision_is_exit_two(self, tmp_path, capsys):
+        # As in `correct`: on l1:inf, 1 - eta(3/10) rounds to 1 in double
+        # precision, and the sweep says so before generating any instance.
+        out = tmp_path / "f.csv"
+        assert main(["--backend", "float", "sweep", "--space", "l1:inf",
+                     "--eps", "3/10", "--count", "3", "--out", str(out)]) == 2
+        assert "below double precision" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestBackendsAgree:
+    """The float backend corrects l1 instances as the rational backend does."""
+
+    @pytest.mark.parametrize("space", ["l1:2", "l1:4"])
+    @pytest.mark.parametrize("eps", ["1/10", "3/10", "3/5"])
+    def test_same_fix_and_residuals(self, space, eps, tmp_path):
+        inst = tmp_path / "instance.json"
+        for index in range(4):
+            T, x0 = make_instance(parse_space(space), F(eps), 0, index)
+            inst.write_text(json.dumps(serial.instance_to_json(T, x0)))
+            certs = {}
+            for backend in ("rational", "float"):
+                out = tmp_path / f"{backend}.json"
+                assert main(["--backend", backend, "correct", str(inst),
+                             "--eps", eps, "--out", str(out)]) == 0
+                certs[backend] = json.loads(out.read_text())
+            exact, approx = certs["rational"], certs["float"]
+            assert approx["fix_label"] == exact["fix_label"]
+            for name, value in exact["residuals"].items():
+                assert abs(float(F(value)) - approx["residuals"][name]) <= FLOAT_TOL
 
 
 class TestCheckAhsp:

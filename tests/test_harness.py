@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from bpb4 import (
+    DomainError,
     GenSpec,
     Quad,
     SizeError,
@@ -249,6 +250,21 @@ class TestSweep:
         assert all(r.runtime == "" for r in rows)
         rows, _, _ = sweep(l1(2), [F(3, 10)], 2, seed=1, timing=True)
         assert all(r.runtime for r in rows)
+
+    @pytest.mark.parametrize("space, eps_list", [
+        (l1(2), [F(3, 10), F(0)]),
+        (l1(2), [F(1)]),
+        (l1(None), [0.3]),  # a float eta below double precision
+    ])
+    def test_rejects_eps_before_generating(self, monkeypatch, space, eps_list):
+        import bpb4.harness as hmod
+
+        def no_instances(*args):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(hmod, "make_instance", no_instances)
+        with pytest.raises(DomainError):
+            hmod.sweep(space, eps_list, 3, seed=0)
 
     def test_failure_dumps_the_instance(self, monkeypatch):
         import bpb4.harness as hmod

@@ -1,6 +1,7 @@
 """JSON round-trips for every serialized type, on both scalar backends."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from bpb4 import (
     sup_space,
 )
 from bpb4 import serial
-from bpb4.scalars import parse_scalar, scalar_to_json
+from bpb4.scalars import coerce, parse_scalar, scalar_to_json
 from helpers import l1_request
 
 F = Fraction
@@ -44,6 +45,15 @@ class TestScalars:
     def test_zero_denominator_is_value_error(self):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_scalar("1/0")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_are_rejected_where_they_enter(self, value):
+        with pytest.raises(ValueError, match="not a finite scalar"):
+            coerce(value)
+        with pytest.raises(ValueError, match="not a finite scalar"):
+            YVec(l1(2), (value, 0.0))
+        with pytest.raises(ValueError, match="not a finite scalar"):
+            Vec4((1.0, value, 0.0, 0.0))
 
 
 class TestSpaces:

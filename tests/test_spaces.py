@@ -1,6 +1,7 @@
 """Codomain spaces: norms, duals, support functionals, convexity moduli."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from bpb4 import (
     support_functional,
     unit_first,
 )
-from bpb4.spaces import coordinate_sum, is_nonnegative, positive_part
+from bpb4.spaces import coordinate_sum, is_nonnegative, positive_part, zero
 
 F = Fraction
 
@@ -41,6 +42,11 @@ class TestDescriptors:
     def test_lp_needs_exponent_above_one(self):
         with pytest.raises(DomainError):
             lp(1, 3)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_lp_needs_a_finite_exponent(self, p):
+        with pytest.raises(DomainError):
+            lp(p, 2)
 
 
 class TestNorms:
@@ -177,3 +183,113 @@ class TestFunctionalPadding:
     def test_unit_first_is_a_unit_vector_everywhere(self):
         for sp in (reals(), l1(3), l1(None), lp(2, 4), sup_space(2)):
             assert norm(unit_first(sp)) == 1
+
+
+# Exact vectors store integer numerators over one denominator; every result
+# below is checked against per-coordinate Fraction arithmetic.
+EXACT_SPACES = (l1(3), l1(None), sup_space(2), reals())
+wide_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=10**9)
+small_dyadics = st.integers(-64, 64).map(lambda k: F(k, 32))
+
+
+def coords_st(space, elements=wide_fractions):
+    if space.infinite:  # finitely supported: lengths differ
+        return st.lists(elements, max_size=5).map(tuple)
+    return st.lists(elements, min_size=space.dim, max_size=space.dim).map(tuple)
+
+
+def padded(a, b):
+    n = max(len(a), len(b))
+    return a + (F(0),) * (n - len(a)), b + (F(0),) * (n - len(b))
+
+
+def reference_norm(space, cs):
+    if space.family == "l1":
+        return sum((abs(c) for c in cs), F(0))
+    return max(abs(c) for c in cs)
+
+
+class TestExactVectors:
+    @given(st.data())
+    def test_arithmetic_matches_fractions(self, data):
+        space = data.draw(st.sampled_from(EXACT_SPACES))
+        a, b = data.draw(coords_st(space)), data.draw(coords_st(space))
+        c = data.draw(wide_fractions | st.integers(-5, 5))
+        u, v = YVec(space, a), YVec(space, b)
+        pa, pb = padded(a, b)
+        expected = {
+            "u + v": tuple(x + y for x, y in zip(pa, pb)),
+            "u - v": tuple(x - y for x, y in zip(pa, pb)),
+            "-u": tuple(-x for x in a),
+            "u.scale(c)": tuple(c * x for x in a),
+            "positive_part(u)": tuple(max(x, F(0)) for x in a),
+        }
+        results = {"u + v": u + v, "u - v": u - v, "-u": -u,
+                   "u.scale(c)": u.scale(c), "positive_part(u)": positive_part(u)}
+        for name, w in results.items():
+            assert w.is_exact(), name
+            assert w.coords == expected[name], name
+            assert all(type(x) is F for x in w.coords), name
+            assert w.den > 0 and math.gcd(w.den, *w.num) == 1, name
+        assert norm(u) == reference_norm(space, a)
+        assert is_nonnegative(u) == all(x >= 0 for x in a)
+        if space.family == "l1":
+            assert coordinate_sum(u) == sum(a, F(0))
+
+    @given(st.data())
+    def test_sign_vector_pairing(self, data):
+        space = data.draw(st.sampled_from((l1(3), l1(None))))
+        a = data.draw(coords_st(space))
+        width = space.dim or data.draw(st.integers(1, 6))
+        signs = tuple(data.draw(st.lists(st.sampled_from((1, -1)),
+                                         min_size=width, max_size=width)))
+        # Sign entries past the functional's length count as +1.
+        expected = sum((x * (signs[k] if k < len(signs) else 1)
+                        for k, x in enumerate(a)), F(0))
+        assert Functional(space, "sign-vector", signs)(YVec(space, a)) == expected
+
+    @given(st.data())
+    def test_equal_vectors_built_by_different_routes(self, data):
+        space = data.draw(st.sampled_from(EXACT_SPACES))
+        a, b = data.draw(coords_st(space)), data.draw(coords_st(space))
+        u, v = YVec(space, a), YVec(space, b)
+        routes = [
+            YVec(space, u.coords),
+            YVec(space, tuple(str(x) for x in a)),
+            u.scale(F(3, 7)).scale(F(7, 3)),
+            -(-u),
+            u + zero(space),
+            pickle.loads(pickle.dumps(u)),
+        ]
+        if len(b) <= len(a):  # else u + v - v keeps v's trailing zeros
+            routes.append(u + v - v)
+        for w in routes:
+            assert w == u
+            assert (w.num, w.den) == (u.num, u.den)
+            assert hash(w) == hash(u)
+        assert u.scale(2) == u + u
+
+    @given(st.data())
+    def test_equal_to_the_float_vector_of_equal_value(self, data):
+        space = data.draw(st.sampled_from(EXACT_SPACES))
+        a = data.draw(coords_st(space, small_dyadics))  # exact as doubles
+        u, f = YVec(space, a), YVec(space, tuple(map(float, a)))
+        assert u == f and hash(u) == hash(f)
+
+    @given(st.data())
+    def test_any_float_input_gives_a_float_vector(self, data):
+        space = data.draw(st.sampled_from(EXACT_SPACES))
+        a = data.draw(coords_st(space))
+        if not a:
+            return
+        k = data.draw(st.integers(0, len(a) - 1))
+        mixed = a[:k] + (float(a[k]),) + a[k + 1:]
+        w = YVec(space, mixed)
+        assert not w.is_exact() and w.den is None
+        assert w.coords == mixed
+        assert [type(x) for x in w.coords] == [type(x) for x in mixed]
+        u = YVec(space, a)
+        for result in (u + w, w - u, -w, u.scale(0.5), w.scale(F(1, 3))):
+            assert not result.is_exact()
+            assert any(type(x) is float for x in result.coords)
+        assert u.scale(0.5).coords == tuple(0.5 * x for x in a)
