@@ -69,6 +69,7 @@ from .quadop import (
     active_sum_norm,
     apply,
     check_membership,
+    compose,
     cyclic_shift,
     diff,
     op_norm,

@@ -19,12 +19,12 @@ from .cube import (
     close_face_correct,
     coords,
     in_base_simplex,
+    reconstruct,
     reduce_to_base,
-    vertex,
 )
 from .errors import DomainError, PreconditionError
 from .fixes import schedule, convex_fix
-from .quadop import Quad, apply, check_membership, diff, op_norm
+from .quadop import Quad, apply, check_membership, compose, diff, op_norm
 from .scalars import Scalar, coerce, tol_of
 from .spaces import SpaceDescriptor, norm
 
@@ -81,33 +81,24 @@ def correct(T: Quad, x0: Vec4, eps: Scalar) -> Certificate:
     S has norm one and attains it at the returned point u0, with
     ||u0 - x0|| < 2*eps/3 and ||S - T|| < eps.  A float eta so small that
     1 - eta rounds to 1 is a DomainError: the rational backend handles it.
+
+    ``reduce_to_base`` checks ||x0|| = 1.  ``convex_fix`` checks the entry
+    inequality: sum alpha_i (T o g)(v_i) is T x0, and nu(eps/3) = eta(eps).
     """
     eps = coerce(eps)
-    eta = entry_slack(T.space, eps)
+    entry_slack(T.space, eps)
     t_norm = op_norm(T)
-    tol = tol_of(t_norm, *x0.coords)
-    if not abs(t_norm - 1) <= tol:
+    if not abs(t_norm - 1) <= tol_of(t_norm, *x0.coords):
         raise DomainError("operator must have norm one")
-    if not abs(x0.sup_norm() - 1) <= tol:
-        raise DomainError("x0 must be a unit vector")
-    if not norm(apply(T, x0)) > 1 - eta:
-        raise PreconditionError("||T x0|| must exceed 1 - eta(eps)")
 
     g, x0_base = reduce_to_base(x0)
-    ginv = g.inverse()
-    # T' = T o g: its base-vertex images are T(g v_i).
-    Tq = Quad(tuple(apply(T, g.apply(vertex(i))) for i in (1, 2, 3, 4)))
     alpha = coords(x0_base)
-
-    active, fix = convex_fix(Tq, alpha, eps / 3)
+    active, fix = convex_fix(compose(T, g), alpha, eps / 3)
     mass = sum(alpha[i - 1] for i in active)
-    u0_base = Vec4((0, 0, 0, 0))
-    for i in active:
-        u0_base = u0_base + vertex(i).scale(alpha[i - 1] / mass)
+    order = tuple(active)
+    u0_base = reconstruct([alpha[i - 1] / mass for i in order], order)
 
-    # S = S' o g^{-1}: base-vertex images are S'(g^{-1} v_i).
-    Sq = fix.corrected
-    S = Quad(tuple(apply(Sq, ginv.apply(vertex(i))) for i in (1, 2, 3, 4)))
+    S = compose(fix.corrected, g.inverse())
     u0 = g.apply(u0_base)
 
     return Certificate(
@@ -163,17 +154,20 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 def extract_ahsp(T: Quad, x0: Vec4, S: Quad, u0: Vec4, eps: Scalar):
     """Recover a certified active set from an externally supplied attaining pair.
 
-    Requires ||S u0|| = 1, ||u0 - x0|| < eps/12, ||S - T/||T|| || < eps/12,
-    with x0 in the base simplex.  Returns (C, z) where z is S's quadruple of
-    base-vertex images, every index of C satisfies ||z_i - y_i|| < eps/6,
-    and ||sum_{i in C} z_i|| = |C|.
+    Requires ||S|| = 1 = ||S u0||, ||u0 - x0|| < eps/12, ||S - T|| < eps/12
+    and ||T|| = 1, with x0 in the base simplex.  Returns (C, z) where z is S
+    itself (its base-vertex images), every index of C satisfies
+    ||z_i - y_i|| < eps/6, and ||sum_{i in C} z_i|| = |C|.
     """
     eps = coerce(eps)
     if not 0 < eps < 1:
         raise DomainError(f"eps must lie in (0, 1): {eps}")
     if not in_base_simplex(x0):
         raise DomainError("x0 must lie in the base simplex")
-    tol = tol_of(op_norm(S), *u0.coords)
+    s_norm = op_norm(S)
+    tol = tol_of(s_norm, *u0.coords)
+    if not abs(s_norm - 1) <= tol:
+        raise PreconditionError("S must have norm one")
     if not abs(norm(apply(S, u0)) - 1) <= tol:
         raise PreconditionError("S must attain its norm at u0")
     if not abs(op_norm(T) - 1) <= tol:
@@ -190,5 +184,4 @@ def extract_ahsp(T: Quad, x0: Vec4, S: Quad, u0: Vec4, eps: Scalar):
 
     cf = close_face_correct(x0, flat, eps / 12)
     C = frozenset(i for i, gmm in cf.gamma.items() if gmm > 0)
-    z = Quad(tuple(apply(S, vertex(i)) for i in (1, 2, 3, 4)))
-    return C, z
+    return C, S

@@ -111,17 +111,14 @@ def _cmd_sweep(args) -> int:
     space = parse_space(args.space)
     eps_list = [parse_scalar(e, args.backend) for e in args.eps.split(",") if e]
     try:
-        rows, csv_text, skipped = sweep(space, eps_list, args.count, args.seed,
-                                        timing=args.timing)
+        rows, csv_text = sweep(space, eps_list, args.count, args.seed,
+                               timing=args.timing)
     except SweepFailure as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         json.dump(exc.instance_json, sys.stderr, indent=2)
         print(file=sys.stderr)
         return 1
     _write(args.out, csv_text)
-    if skipped:
-        print(f"skipped {skipped} instances (precondition not met)",
-              file=sys.stderr)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -148,10 +148,6 @@ class SignedPerm:
             raise DomainError(f"signs must be +-1: {self.signs}")
 
     @staticmethod
-    def identity() -> "SignedPerm":
-        return SignedPerm((0, 1, 2, 3), (1, 1, 1, 1))
-
-    @staticmethod
     def negation() -> "SignedPerm":
         return SignedPerm((0, 1, 2, 3), (-1, -1, -1, -1))
 
@@ -179,9 +175,6 @@ class SignedPerm:
             perm[self.perm[i]] = i
             signs[self.perm[i]] = self.signs[i]
         return SignedPerm(tuple(perm), tuple(signs))
-
-    def is_identity(self) -> bool:
-        return self.perm == (0, 1, 2, 3) and self.signs == (1, 1, 1, 1)
 
 
 def on_lead_face(x: Vec4, tol=None) -> bool:
@@ -221,9 +214,6 @@ class FaceDecomposition:
     @property
     def active(self) -> FrozenSet[int]:
         return FACES[self.face]
-
-    def point(self) -> Vec4:
-        return reconstruct(self.weights, self.vertex_indices)
 
 
 def face_decompose(x: Vec4) -> FaceDecomposition:

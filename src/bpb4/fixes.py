@@ -331,7 +331,6 @@ def l1_fix(request: FixRequest) -> FixResult:
         z = [y[i].scale(inv4) + e1.scale(1 - inv4) if i < 3 else y[i].scale(inv4)
              for i in range(4)]
     elif k == 3:
-        b = [positive_part(a_vecs[i]) if i < 3 else a_vecs[i] for i in range(4)]
         x1 = repair_nonnegative(b[2], b[1], b[0], 4 * rho, 6 * rho)
         x = [x1, b[1], b[2], a_vecs[3]]
         inv36 = 1 / (1 + 36 * rho)
@@ -341,7 +340,6 @@ def l1_fix(request: FixRequest) -> FixResult:
         z = [y[i].scale(inv14) + e1.scale(1 - inv14) if i < 3 else y[i].scale(inv14)
              for i in range(4)]
     else:
-        b = [positive_part(a) for a in a_vecs]
         x1 = repair_nonnegative(b[2], b[1], b[0], 4 * rho, 6 * rho)
         x4 = repair_nonnegative(b[0], b[2], b[3], 4 * rho, 6 * rho)
         y1 = repair_nonnegative(b[3], b[1], x1, 4 * rho, 16 * rho)

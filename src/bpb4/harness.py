@@ -20,13 +20,13 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .certify import correct, entry_slack, verify_certificate
-from .cube import SignedPerm, Vec4, vertex
+from .cube import SignedPerm, Vec4, coords, vertex
 from .errors import BPB4Error, DomainError, PreconditionError, SizeError
 from .fixes import schedule
-from .quadop import Quad, active_sum_norm, apply, check_membership, op_norm
+from .quadop import Quad, active_sum_norm, check_membership, compose, op_norm
 from .scalars import Scalar, coerce, is_exact, scalar_to_json
 from .serial import instance_to_json
-from .spaces import SpaceDescriptor, YVec, norm, unit_first
+from .spaces import SpaceDescriptor, YVec, norm, unit_first, zero
 
 #: Interior-mode quads shrink by this extra factor off the boundary.
 INTERIOR_MARGIN = Fraction(1, 8)
@@ -114,18 +114,11 @@ def gen_quad(spec: GenSpec) -> Quad:
     return q
 
 
-#: All sixteen extreme points of the domain ball.
-HYPERCUBE_VERTICES: Tuple[Vec4, ...] = tuple(
-    Vec4(signs) for signs in itertools.product((1, -1), repeat=4)
-)
-
-
-# Expansion coefficients of each hypercube vertex over the operator's four
-# defining images; for sign vectors these are always -1, 0, or +1.
-from .cube import coords as _cube_coords
-
+# Expansion coefficients of the sixteen extreme points of the domain ball
+# (the sign vectors) over the operator's four defining images: -1, 0 or +1.
 _HYPERCUBE_COEFFS = tuple(
-    tuple(int(c) for c in _cube_coords(e)) for e in HYPERCUBE_VERTICES
+    tuple(int(c) for c in coords(Vec4(signs)))
+    for signs in itertools.product((1, -1), repeat=4)
 )
 
 
@@ -134,19 +127,10 @@ def brute_norm(q: Quad) -> Scalar:
 
     Independent oracle for the eight-image norm formula.
     """
-    from .spaces import zero
     best = norm(zero(q.space))
     for coeffs in _HYPERCUBE_COEFFS:
-        image = None
-        for c, y in zip(coeffs, q.ys):
-            if c == 0:
-                continue
-            term = y if c == 1 else -y if c == -1 else y.scale(c)
-            image = term if image is None else image + term
-        if image is not None:
-            n = norm(image)
-            if n > best:
-                best = n
+        terms = [y if c == 1 else -y for c, y in zip(coeffs, q.ys) if c]
+        best = max(best, norm(sum(terms[1:], terms[0])))
     return best
 
 
@@ -270,8 +254,9 @@ def make_instance(space: SpaceDescriptor, eps: Scalar, seed: int,
     eta = schedule(space).eta(eps)
     rng = random.Random(f"{seed}:{_space_key(space)}:{eps}:{index}")
     base = gen_quad(GenSpec(space, rng.randrange(2**63), mode="boundary"))
-    # Blend toward the constant quadruple tightly enough that every extreme
-    # image has norm above 1 - eta, then renormalize to operator norm one.
+    # Blend toward the constant quadruple: every extreme image then has norm
+    # >= lam - (1 - lam) = 1 - eta/2, renormalizing only raises it, and T
+    # sends x0 = h(v_j) to one of them, so ||T x0|| > 1 - eta.
     lam = 1 - eta / 4
     c = _constant_quad(space)
     blended = Quad(tuple(y.scale(1 - lam) + u.scale(lam)
@@ -279,37 +264,29 @@ def make_instance(space: SpaceDescriptor, eps: Scalar, seed: int,
     nrm = op_norm(blended)
     T = Quad(tuple(y.scale(1 / nrm) for y in blended.ys))
     h = _random_domain_isometry(rng)
-    hinv = h.inverse()
-    T = Quad(tuple(apply(T, hinv.apply(vertex(i))) for i in (1, 2, 3, 4)))
+    T = compose(T, h.inverse())
     x0 = h.apply(rng.choice([vertex(j) for j in range(1, 9)]))
     return T, x0
 
 
 def sweep(space: SpaceDescriptor, eps_list: Sequence[Scalar], count: int,
-          seed: int, timing: bool = False) -> Tuple[List[SweepRow], str, int]:
+          seed: int, timing: bool = False) -> Tuple[List[SweepRow], str]:
     """Run the full correction over a grid of eps values and random instances.
 
-    Returns (rows, csv_text, skipped).  Every eps is checked as ``correct``
-    checks it (``entry_slack``) before any instance is generated.  Any
+    Returns (rows, csv_text).  Every eps is checked as ``correct`` checks it
+    (``entry_slack``) before any instance is generated.  A correction or
     verification failure raises SweepFailure with the offending instance
     serialized.  The CSV is byte-reproducible for a fixed seed on the
     rational backend as long as ``timing`` stays off (the runtime column is
     left empty then).
     """
     rows: List[SweepRow] = []
-    skipped = 0
     grid = [(eps, entry_slack(space, eps)) for eps in map(coerce, eps_list)]
     for eps, eta in grid:
         for i in range(count):
-            T = x0 = None
-            for attempt in range(5):
-                cand_T, cand_x0 = make_instance(space, eps, seed, i * 5 + attempt)
-                if norm(apply(cand_T, cand_x0)) > 1 - eta:
-                    T, x0 = cand_T, cand_x0
-                    break
-            if T is None:
-                skipped += 1
-                continue
+            # Indices step by 5 so that CSVs stay byte-identical to earlier
+            # releases, which could draw up to five instances per row.
+            T, x0 = make_instance(space, eps, seed, i * 5)
             start = time.perf_counter()
             try:
                 cert = correct(T, x0, eps)
@@ -331,7 +308,7 @@ def sweep(space: SpaceDescriptor, eps_list: Sequence[Scalar], count: int,
                 case_label=cert.fix_label,
                 runtime=f"{elapsed:.6f}" if timing else "",
             ))
-    return rows, render_csv(rows), skipped
+    return rows, render_csv(rows)
 
 
 def _cell(value) -> str:

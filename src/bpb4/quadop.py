@@ -4,6 +4,8 @@ An operator T is pinned down by its images (T(v1)..T(v4)) of the base
 vertices; the remaining four extreme points of the lead face are alternating
 triple sums of those, so the operator norm is the max over eight vectors.
 The admissible set (all eight norms <= 1) is exactly the operator unit ball.
+A signed permutation g of the domain permutes the sixteen sign vectors, so
+T o g has T's eight extreme images again, up to sign (``compose``).
 """
 
 from __future__ import annotations
@@ -11,13 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .cube import Vec4, coords
+from .cube import BASE_VERTICES, VERTICES, SignedPerm, Vec4, coords
 from .errors import DomainError
 from .scalars import Scalar, tol_of
 from .spaces import SpaceDescriptor, YVec, norm, zero
 
 #: The alternating index triples (1-based) whose sums must stay in the ball.
 TRIPLES: Tuple[Tuple[int, int, int], ...] = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
+
+#: 1-based index of each lead-face vertex v1..v8, keyed by its coordinates.
+_VERTEX_INDEX = {v.coords: j for j, v in enumerate(VERTICES, 1)}
+_LABELS = ("y1", "y2", "y3", "y4") + tuple(f"y{a}-y{b}+y{c}" for a, b, c in TRIPLES)
 
 
 @dataclass(frozen=True)
@@ -46,12 +52,17 @@ class Quad:
         return all(y.is_exact() for y in self.ys)
 
 
+def _extreme_image(q: Quad, j: int) -> YVec:
+    """T(v_j) for j in 1..8: y_j, or the alternating sum of TRIPLES[j - 5]."""
+    if j <= 4:
+        return q[j - 1]
+    a, b, c = TRIPLES[j - 5]
+    return q[a - 1] - q[b - 1] + q[c - 1]
+
+
 def _extreme_images(q: Quad):
     """The eight labelled vectors whose norms bound everything."""
-    out = [(f"y{i+1}", q[i]) for i in range(4)]
-    for i, j, k in TRIPLES:
-        out.append((f"y{i}-y{j}+y{k}", q[i - 1] - q[j - 1] + q[k - 1]))
-    return out
+    return [(label, _extreme_image(q, j)) for j, label in enumerate(_LABELS, 1)]
 
 
 @dataclass(frozen=True)
@@ -86,6 +97,21 @@ def apply(q: Quad, x: Vec4) -> YVec:
     for ci, yi in zip(c, q.ys):
         out = out + yi.scale(ci)
     return out
+
+
+def compose(q: Quad, g: SignedPerm) -> Quad:
+    """T o g for a signed permutation g of the domain.
+
+    g carries each base vertex to +-v_j with j in 1..8, so each image is
+    +-T(v_j), one of T's eight extreme images: nothing is expanded in
+    coordinates, halved or scaled.
+    """
+    ys = []
+    for v in BASE_VERTICES:
+        w = g.apply(v)
+        y = _extreme_image(q, _VERTEX_INDEX[(w if w[0] > 0 else -w).coords])
+        ys.append(y if w[0] > 0 else -y)
+    return Quad(ys)
 
 
 def op_norm(q: Quad) -> Scalar:

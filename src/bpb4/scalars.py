@@ -50,7 +50,11 @@ def tol_of(*values) -> Scalar:
 
 
 def parse_scalar(text, backend: str = "rational") -> Scalar:
-    """Parse a JSON-level number: "p/q" strings, ints, or floats."""
+    """Parse a JSON-level number: "p/q" strings, ints, or finite floats.
+
+    Zero denominators, JSON's Infinity and NaN, and (on the float backend)
+    values beyond double range are ValueErrors.
+    """
     if backend not in ("rational", "float"):
         raise ValueError(f"unknown backend {backend!r}")
     if isinstance(text, str):
@@ -61,11 +65,18 @@ def parse_scalar(text, backend: str = "rational") -> Scalar:
     elif isinstance(text, (int, Fraction)):
         value = Fraction(text)
     elif isinstance(text, float):
+        if not isfinite(text):
+            raise ValueError(f"not a finite scalar: {text!r}")
         # A float literal in a rational-backend file is taken at face value.
         value = Fraction(text).limit_denominator(10**12) if backend == "rational" else text
     else:
         raise TypeError(f"not a scalar literal: {text!r}")
-    return float(value) if backend == "float" else coerce(value)
+    if backend == "rational":
+        return coerce(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"beyond double range: {text!r}") from None
 
 
 def scalar_to_json(value: Scalar):

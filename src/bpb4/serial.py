@@ -4,7 +4,8 @@ Rationals are written as "p/q" strings and parsed back exactly; the float
 backend parses every number as an IEEE double instead.  Vectors over
 finitely supported l1 are written as sparse [index, value] pairs (0-based);
 finite-dimensional vectors are dense arrays.  Field order is fixed so that
-emitted files diff cleanly.
+emitted files diff cleanly.  Malformed numbers, such as a non-integer
+index or a negative sparse index, are ValueErrors.
 """
 
 from __future__ import annotations
@@ -19,6 +20,13 @@ from .fixes import FixRequest, FixResult
 from .quadop import Quad
 from .scalars import parse_scalar, scalar_to_json
 from .spaces import Functional, SpaceDescriptor, YVec
+
+
+def _int(value) -> int:
+    """A JSON integer: floats, strings and booleans are malformed here."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer: {value!r}")
+    return value
 
 
 def space_to_json(space: SpaceDescriptor) -> Dict[str, Any]:
@@ -36,7 +44,7 @@ def space_from_json(data: Dict[str, Any]) -> SpaceDescriptor:
     if dim == "inf":
         dim = None
     elif dim is not None:
-        dim = int(dim)
+        dim = _int(dim)
     p = data.get("p")
     if p is not None:
         p = parse_scalar(p)
@@ -61,7 +69,9 @@ def yvec_to_json(y: YVec, backend: str = "rational"):
 
 def yvec_from_json(space: SpaceDescriptor, data, backend: str = "rational") -> YVec:
     if space.infinite:
-        pairs = [(int(i), parse_scalar(v, backend)) for i, v in data]
+        pairs = [(_int(i), parse_scalar(v, backend)) for i, v in data]
+        if any(i < 0 for i, _ in pairs):
+            raise ValueError(f"negative sparse index in {data!r}")
         width = 1 + max((i for i, _ in pairs), default=-1)
         zero = Fraction(0) if backend == "rational" else 0.0
         coords = [zero] * width
@@ -97,8 +107,8 @@ def perm_to_json(g: SignedPerm) -> Dict[str, Any]:
 
 
 def perm_from_json(data: Dict[str, Any]) -> SignedPerm:
-    return SignedPerm(tuple(int(i) for i in data["perm"]),
-                      tuple(int(s) for s in data["signs"]))
+    return SignedPerm(tuple(map(_int, data["perm"])),
+                      tuple(map(_int, data["signs"])))
 
 
 def fix_request_to_json(r: FixRequest, backend: str = "rational") -> Dict[str, Any]:
@@ -116,7 +126,7 @@ def fix_request_from_json(data: Dict[str, Any],
     return FixRequest(
         quad,
         functional_from_json(quad.space, data["functional"], backend),
-        frozenset(int(i) for i in data["active"]),
+        frozenset(map(_int, data["active"])),
         parse_scalar(data["eps"], backend),
     )
 
@@ -136,7 +146,7 @@ def fix_result_from_json(data: Dict[str, Any],
                          backend: str = "rational") -> FixResult:
     return FixResult(
         quad_from_json(data["corrected"], backend),
-        frozenset(int(i) for i in data["certified"]),
+        frozenset(map(_int, data["certified"])),
         tuple(parse_scalar(d, backend) for d in data["displacements"]),
         data["label"],
         tuple(data.get("transform_log", ())),
@@ -164,6 +174,8 @@ def certificate_to_json(cert: Certificate, backend: str = "rational"):
 
 def certificate_from_json(data, backend: str = "rational") -> Certificate:
     space = space_from_json(data["space"])
+    if not isinstance(data["residuals"], dict):
+        raise ValueError(f"residuals must be an object: {data['residuals']!r}")
     return Certificate(
         space=space,
         eps=parse_scalar(data["eps"], backend),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -32,8 +33,8 @@ class SpaceDescriptor:
         if self.family not in ("l1", "lp", "sup", "r"):
             raise DomainError(f"unknown space family {self.family!r}")
         if self.family == "lp":
-            if self.p is None or not 1 < self.p < math.inf:
-                raise DomainError("lp requires a finite p > 1")
+            if self.p is None or not 1 < self.p <= sys.float_info.max:
+                raise DomainError("lp requires a finite p > 1 within double range")
             object.__setattr__(self, "p", coerce(self.p))
         elif self.p is not None:
             raise DomainError(f"{self.family} takes no exponent")
@@ -163,9 +164,6 @@ class YVec:
         return _exact(self.space, tuple(m * n for n in self.num),
                       self.den * c.denominator)
 
-    def norm(self) -> Scalar:
-        return norm(self)
-
     def is_exact(self) -> bool:
         return self.den is not None
 
@@ -264,7 +262,10 @@ def norm(y: YVec) -> Scalar:
     if family == "r":
         return abs(coords[0])
     p = float(y.space.p)
-    return sum(abs(float(c)) ** p for c in coords) ** (1.0 / p)
+    try:
+        return sum(abs(float(c)) ** p for c in coords) ** (1.0 / p)
+    except OverflowError:  # a coordinate or its p-th power beyond double range
+        raise DomainError("lp norm beyond double range") from None
 
 
 @dataclass(frozen=True)
@@ -304,18 +305,6 @@ class Functional:
                 coords = coords + (1,) * (len(y.coords) - len(coords))
         a, b = _aligned(coords, y.coords)
         return sum(f * c for f, c in zip(a, b))
-
-    def dual_norm(self) -> Scalar:
-        family = self.space.family
-        if self.kind == "sign-vector" or family == "l1":
-            return max(abs(c) for c in self.coords)
-        if family == "sup":
-            return sum(abs(c) for c in self.coords)
-        if family == "r":
-            return abs(self.coords[0])
-        p = float(self.space.p)
-        q = p / (p - 1.0)
-        return sum(abs(float(c)) ** q for c in self.coords) ** (1.0 / q)
 
     def restrict(self, dim: int) -> "Functional":
         coords = self.coords[:dim]

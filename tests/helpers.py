@@ -146,6 +146,21 @@ def repair_triple(dim: int, seed: int) -> Tuple[YVec, YVec, YVec, Fraction, Frac
     return x, y, z, s, t
 
 
+def dual_norm(f: Functional):
+    """Norm of a functional in the dual space: the reference that support
+    functionals are checked against (they must lie on the dual unit sphere)."""
+    family = f.space.family
+    if f.kind == "sign-vector" or family == "l1":
+        return max(abs(c) for c in f.coords)
+    if family == "sup":
+        return sum(abs(c) for c in f.coords)
+    if family == "r":
+        return abs(f.coords[0])
+    p = float(f.space.p)
+    q = p / (p - 1.0)
+    return sum(abs(float(c)) ** q for c in f.coords) ** (1.0 / q)
+
+
 def assert_fix_postconditions(request: FixRequest, result, tol=0):
     """The universal contract every correction result must satisfy."""
     from bpb4 import active_sum_norm

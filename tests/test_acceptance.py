@@ -199,8 +199,8 @@ class TestAcceptance:
     def test_criterion_8_reproducible_sweeps(self):
         start = time.perf_counter()
         eps_list = [F(1, 10), F(3, 10), F(3, 5)]
-        _, csv1, _ = sweep(l1(2), eps_list, 10, seed=2026)
-        _, csv2, _ = sweep(l1(2), eps_list, 10, seed=2026)
+        _, csv1 = sweep(l1(2), eps_list, 10, seed=2026)
+        _, csv2 = sweep(l1(2), eps_list, 10, seed=2026)
         assert csv1.encode() == csv2.encode()
         report("criterion 8 (reproducible sweeps)",
                "two seeded sweep runs produce byte-identical CSVs",

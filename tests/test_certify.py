@@ -13,6 +13,7 @@ from bpb4 import (
     YVec,
     active_sum_norm,
     apply,
+    compose,
     correct,
     extract_ahsp,
     l1,
@@ -164,9 +165,7 @@ class TestExtract:
             ginv = g.inverse()
             x0b = ginv.apply(x0)
             u0b = ginv.apply(cert.attained_at)
-            Tb = Quad(tuple(apply(T, g.apply(vertex(i))) for i in (1, 2, 3, 4)))
-            Sb = Quad(tuple(apply(cert.corrected, g.apply(vertex(i)))
-                            for i in (1, 2, 3, 4)))
+            Tb, Sb = compose(T, g), compose(cert.corrected, g)
             C, z = extract_ahsp(Tb, x0b, Sb, u0b, 12 * eps)
             assert C
             assert active_sum_norm(z, C) == len(C)
@@ -179,9 +178,7 @@ class TestExtract:
         cert = correct(T, x0, eps)
         g = cert.isometry
         ginv = g.inverse()
-        Tb = Quad(tuple(apply(T, g.apply(vertex(i))) for i in (1, 2, 3, 4)))
-        Sb = Quad(tuple(apply(cert.corrected, g.apply(vertex(i)))
-                        for i in (1, 2, 3, 4)))
+        Tb, Sb = compose(T, g), compose(cert.corrected, g)
         big_eps = 12 * eps
         C, z = extract_ahsp(Tb, ginv.apply(x0), Sb, ginv.apply(cert.attained_at),
                             big_eps)
@@ -193,3 +190,14 @@ class TestExtract:
         S = real_quad(1, 1, 1, F(1, 2))
         with pytest.raises(PreconditionError):
             extract_ahsp(T, vertex(1), S, vertex(1), F(3, 10))
+
+    def test_rejects_s_above_norm_one(self):
+        # ||S|| = 1001/1000, yet S attains 1 at u0 = x0 = (3v1 + v4)/4 and
+        # sits within eps/12 of T; a norm-one check is all that rejects it
+        # (without one, C = {1, 4} came back with ||z1 + z4|| = 999/500).
+        T = real_quad(1, 1, 1, 1)
+        S = real_quad(F(1001, 1000), F(997, 1000), F(997, 1000), F(997, 1000))
+        x0 = Vec4((1, F(1, 2), F(1, 2), F(1, 2)))
+        assert norm(apply(S, x0)) == 1
+        with pytest.raises(PreconditionError, match="S must have norm one"):
+            extract_ahsp(T, x0, S, x0, F(1, 2))

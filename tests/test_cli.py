@@ -4,8 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bpb4 import Quad, YVec, l1, lp, make_instance, reals, serial
+from bpb4 import Quad, YVec, correct, l1, lp, make_instance, reals, serial
 from bpb4.cli import main, parse_space
 from bpb4.scalars import FLOAT_TOL
 from helpers import l1_request
@@ -147,6 +149,30 @@ class TestNoTracebacks:
         self._assert_usage_error(["--backend", "float", "correct", str(path),
                                   "--eps", "3/10"], capsys)
 
+    @pytest.mark.parametrize("space, backend, path, value, code", [
+        (l1(None), "rational", ("T", "ys", 1), [[-10, "1/2"]], 3),
+        (l1(2), "rational", ("T", "ys", 0, 1), float("inf"), 3),
+        (lp(2, 3), "float", ("T", "ys", 0, 1), "1e400", 3),  # not a double
+        (lp(2, 3), "rational", ("T", "ys", 0, 1), 1e300, 2),  # square overflows
+        (lp(2, 3), "rational", ("T", "space", "p"), "1e400", 2),
+    ], ids=["negative-sparse-index", "infinity-literal", "float-beyond-double",
+            "lp-norm-beyond-double", "lp-exponent-beyond-double"])
+    def test_bad_number_in_instance(self, space, backend, path, value, code,
+                                    tmp_path, capsys):
+        T, x0 = make_instance(space, F(3, 10), 0, 0)
+        data = serial.instance_to_json(T, x0)
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value  # json writes inf as the Infinity literal
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(data))
+        assert main(["--backend", backend, "correct", str(file),
+                     "--eps", "3/10"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("malformed input:" if code == 3 else "error:")
+        assert "Traceback" not in err
+
 
 class TestGen:
     def test_deterministic_output(self, capsys):
@@ -250,3 +276,85 @@ class TestBruteSearch:
         path = self._write(tmp_path, (F(1, 2), F(1, 3), F(-1, 2), F(-1, 2)),
                            {1, 2}, "1/100")
         assert main(["brute-search", path, "--grid", "3"]) == 1
+
+
+INSTANCES = tuple(
+    serial.instance_to_json(*make_instance(parse_space(name), F(3, 10), 0, 0))
+    for name in ("l1:2", "l1:inf", "r", "lp:2:3"))
+CERTIFICATES = tuple(
+    serial.certificate_to_json(correct(*serial.instance_from_json(inst), F(3, 10)))
+    for inst in INSTANCES)
+
+# Values a mutation puts in place of any node.  Integers stay small: a sparse
+# l1 index of n builds an n-entry list.
+junk_st = st.one_of(
+    st.none(), st.booleans(), st.integers(-64, 64),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, 0.5,
+                     1e300, 1e-300]),
+    st.sampled_from(["", "x", "1/0", "inf", "nan", "1e400", "-3/10", "2/1"]),
+    st.lists(st.integers(-64, 64), max_size=3),
+    st.just({}))
+space_st = st.fixed_dictionaries(
+    {"family": st.sampled_from(["l1", "lp", "r", "sup", "l2"])},
+    optional={"dim": st.one_of(st.integers(-1, 64),
+                               st.sampled_from(["inf", "x", None, 1.5])),
+              "p": st.sampled_from(["2/1", "3/2", "1/1", "0/1", "1/0", 2.0,
+                                    float("inf"), "x"])})
+
+
+def _nodes(node, path=()):
+    """(path, value) for every node below the root of a JSON tree."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate(draw, doc):
+    """Apply one to three mutations: drop a key, replace a node with junk or
+    a bad space, or cut a list short."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(doc))
+        if not nodes:
+            break
+        path, value = draw(st.sampled_from(nodes))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        kind = draw(st.sampled_from(["drop", "junk", "space", "short"]))
+        if kind == "drop" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif kind == "short" and isinstance(value, list) and value:
+            del value[draw(st.integers(0, len(value) - 1)):]
+        elif kind == "space":
+            parent[path[-1]] = draw(space_st)
+        else:
+            parent[path[-1]] = draw(junk_st)
+    return doc
+
+
+class TestMutatedJson:
+    """Mutated instance and certificate files never raise out of ``main``;
+    ``correct`` never reports a verification failure (exit 1)."""
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_correct(self, tmp_path_factory, data):
+        doc = _mutate(data.draw, data.draw(st.sampled_from(INSTANCES)))
+        backend = data.draw(st.sampled_from(["rational", "float"]))
+        eps = data.draw(st.sampled_from(["3/10", "1/10", "0", "inf", "1/0"]))
+        path = tmp_path_factory.mktemp("fuzz") / "instance.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--backend", backend, "correct", str(path),
+                     "--eps", eps]) in (0, 2, 3)
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_verify(self, tmp_path_factory, data):
+        doc = _mutate(data.draw, data.draw(st.sampled_from(CERTIFICATES)))
+        backend = data.draw(st.sampled_from(["rational", "float"]))
+        path = tmp_path_factory.mktemp("fuzz") / "certificate.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--backend", backend, "verify", str(path)]) in (0, 1, 2, 3)

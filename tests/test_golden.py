@@ -1,0 +1,78 @@
+"""Byte-identity gate: pinned SHA-256 digests of certificate JSON and sweep CSVs.
+
+Certificates come from ``make_instance`` cases written the way ``bpb4
+correct`` writes them (instance JSON round trip, then ``certificate_to_json``
+rendered with ``json.dumps(..., indent=2)``); CSVs are ``sweep`` output.  A
+change to any of these bytes must be deliberate: update the digest and record
+the reason in CHANGES.md.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from bpb4 import correct, l1, lp, make_instance, reals, serial, sweep
+from bpb4.scalars import parse_scalar
+
+EPS_TEXTS = ("1/10", "3/10", "3/5")
+EPS = tuple(Fraction(e) for e in EPS_TEXTS)
+CASES = 12  # make_instance indices per eps
+
+CERTIFICATE_DIGESTS = {  # name: (space, backend, sha256)
+    "r": (reals(), "rational",
+        "0be925921ef30868bd6947e6e9a88bd70ff3fa935c548efae0fd95d2b11bdd31"),
+    "l1:2": (l1(2), "rational",
+        "21cf2b66fc387a375eaee81743a0eb15e567f8815480efcd2e5074e59bca456d"),
+    "l1:4": (l1(4), "rational",
+        "e8c40fc68889b3ac0811cf5008bd04e3e3ff67ea0661deedd7887eadc8b88935"),
+    "l1:inf": (l1(None), "rational",
+        "6bd173d95a1210b6cb711a4e8901287d13318d0a59809c19efe070d5fe6ce292"),
+    "lp:2:3": (lp(2, 3), "float",
+        "44e210bcf1523c25c53be888ea5f7a5f8f2b3516ccefc6843d3aa0b4ae90e7e6"),
+}
+
+SWEEP_COUNT = 20
+SWEEP_DIGESTS = {  # name: (space, sha256)
+    "l1:2": (l1(2),
+        "b191e092bd6f3101eaa19c6d00c81fdba89fce1e8fb32849a5423f265cd8f9d5"),
+    "l1:4": (l1(4),
+        "2a3cad10e3c69ac218fe109610d82fc2fdc5fc7545570f1fcaaf1acd92d0ffe3"),
+    "l1:inf": (l1(None),
+        "fd5fa6b2d24bffe2e25decce92236568a76f0b2b9e385f66bf842e357643f845"),
+    "r": (reals(),
+        "31cf693c74a39b3381a3ed8f015c3fece14f969dd8be84000d0fc6ac43fa0154"),
+    "lp:2:3": (lp(2, 3),
+        "f24ed53b0d6563439f71f251887c7a9e555b12d1feaf60c2d862017007d7ce4c"),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def certificates_text(space, backend: str) -> str:
+    parts = []
+    for eps_text, eps in zip(EPS_TEXTS, EPS):
+        for index in range(CASES):
+            T, x0 = make_instance(space, eps, 0, index)
+            data = json.loads(json.dumps(serial.instance_to_json(T, x0)))
+            T, x0 = serial.instance_from_json(data, backend)
+            cert = correct(T, x0, parse_scalar(eps_text, backend))
+            parts.append(json.dumps(serial.certificate_to_json(cert, backend),
+                                    indent=2))
+    return "\n".join(parts) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_DIGESTS))
+def test_certificate_bytes(name):
+    space, backend, digest = CERTIFICATE_DIGESTS[name]
+    assert _sha(certificates_text(space, backend)) == digest
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
+def test_sweep_csv_bytes(name):
+    space, digest = SWEEP_DIGESTS[name]
+    csv_text = sweep(space, EPS, SWEEP_COUNT, seed=0)[1]
+    assert _sha(csv_text) == digest

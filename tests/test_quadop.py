@@ -1,5 +1,7 @@
-"""Quadruples as operators: membership, application, norms, shifts."""
+"""Quadruples as operators: membership, application, composition, norms,
+shifts."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,12 +12,14 @@ from bpb4 import (
     DomainError,
     GenSpec,
     Quad,
+    SignedPerm,
     Vec4,
     YVec,
     active_sum_norm,
     apply,
     brute_norm,
     check_membership,
+    compose,
     cyclic_shift,
     diff,
     gen_quad,
@@ -28,6 +32,7 @@ from bpb4 import (
     unit_first,
     vertex,
 )
+from bpb4.scalars import FLOAT_TOL
 from helpers import rng_for
 
 F = Fraction
@@ -77,6 +82,61 @@ class TestApply:
             lhs = apply(q, x + y)
             rhs = apply(q, x) + apply(q, y)
             assert lhs.coords == rhs.coords
+
+
+#: All 384 signed permutations of the four coordinates.
+SIGNED_PERMS = tuple(SignedPerm(perm, signs)
+                     for perm in itertools.permutations(range(4))
+                     for signs in itertools.product((1, -1), repeat=4))
+
+
+def compose_reference(q, g):
+    """T o g by its definition: the images T(g v_i) of the base vertices."""
+    return Quad(tuple(apply(q, g.apply(vertex(i))) for i in (1, 2, 3, 4)))
+
+
+def values(q):
+    """The four images as coordinate tuples without trailing zeros: over
+    finitely supported l1 a vector's stored width is not part of its value."""
+    out = []
+    for y in q.ys:
+        c = list(y.coords)
+        while c and c[-1] == 0:
+            c.pop()
+        out.append(tuple(c))
+    return tuple(out)
+
+
+class TestCompose:
+    @pytest.mark.parametrize("space", [reals(), l1(3), l1(None)], ids=str)
+    def test_matches_definition_for_every_signed_permutation(self, space):
+        assert len(set(SIGNED_PERMS)) == 384
+        q = random_quad(space, 7, "boundary")
+        for g in SIGNED_PERMS:
+            assert values(compose(q, g)) == values(compose_reference(q, g)), g
+
+    @pytest.mark.parametrize("space", [reals(), l1(3), l1(None)], ids=str)
+    def test_norm_and_membership_slack_unchanged(self, space):
+        for seed in range(3):
+            q = random_quad(space, seed)
+            slack = check_membership(q).slack
+            for g in SIGNED_PERMS:
+                qg = compose(q, g)
+                assert op_norm(qg) == op_norm(q)
+                assert check_membership(qg).slack == slack
+
+    @pytest.mark.parametrize("space", [reals(), l1(3), l1(None)], ids=str)
+    def test_inverse_undoes(self, space):
+        q = random_quad(space, 5)
+        for g in SIGNED_PERMS:
+            assert values(compose(compose(q, g), g.inverse())) == values(q)
+
+    def test_float_agrees_with_definition(self):
+        q = random_quad(lp(2, 3), 9, "boundary")
+        for g in SIGNED_PERMS:
+            for a, b in zip(compose(q, g).ys, compose_reference(q, g).ys):
+                assert max(abs(x - y) for x, y in zip(a.coords, b.coords)) <= FLOAT_TOL
+            assert abs(op_norm(compose(q, g)) - op_norm(q)) <= FLOAT_TOL
 
 
 class TestOpNorm:
