@@ -137,10 +137,8 @@ def _cmd_check_ahsp(args) -> int:
 
 
 def _cmd_brute_search(args) -> int:
-    data = _load_json(args.instance)
-    q = serial.quad_from_json(data["quad"], args.backend)
-    active = frozenset(int(i) for i in data["active"])
-    eps = parse_scalar(data["eps"], args.backend)
+    q, active, eps = serial.search_from_json(_load_json(args.instance),
+                                             args.backend)
     found = brute_ahsp_search(q, active, eps, resolution=args.grid)
     if found is None:
         _emit({"found": False}, args.out)

@@ -144,8 +144,8 @@ class SignedPerm:
     def __post_init__(self):
         if sorted(self.perm) != [0, 1, 2, 3]:
             raise DomainError(f"not a permutation: {self.perm}")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise DomainError(f"signs must be +-1: {self.signs}")
+        if len(self.signs) != 4 or any(s not in (-1, 1) for s in self.signs):
+            raise DomainError(f"signs must be four entries +-1: {self.signs}")
 
     @staticmethod
     def negation() -> "SignedPerm":

@@ -68,8 +68,9 @@ def _extreme_images(q: Quad):
 @dataclass(frozen=True)
 class MembershipReport:
     member: bool
-    slack: Scalar  # 1 - max of the eight checked norms
+    slack: Scalar  # 1 - norm
     worst: str  # label of the extremal check
+    norm: Scalar  # max of the eight checked norms: the operator norm
 
 
 def check_membership(q: Quad, tol=None) -> MembershipReport:
@@ -87,7 +88,8 @@ def check_membership(q: Quad, tol=None) -> MembershipReport:
     if tol is None:
         tol = tol_of(*norms)
     slack = 1 - worst_norm
-    return MembershipReport(member=slack >= -tol, slack=slack, worst=worst_label)
+    return MembershipReport(member=slack >= -tol, slack=slack, worst=worst_label,
+                            norm=worst_norm)
 
 
 def apply(q: Quad, x: Vec4) -> YVec:

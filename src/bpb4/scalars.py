@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isfinite
-from typing import Union
+from typing import Optional, Tuple, Union
 
 Scalar = Union[Fraction, float]
 
@@ -49,17 +49,35 @@ def tol_of(*values) -> Scalar:
     return Fraction(0) if is_exact(*values) else FLOAT_TOL
 
 
+def ratio_parts(text: str) -> Optional[Tuple[int, int]]:
+    """(p, q) of a strict "[-]digits/digits" string with q > 0, else None.
+
+    The digits are ASCII, with no sign on q and no spaces, underscores or
+    "+": the form the writer emits.  ``Fraction(p, q) == Fraction(text)``
+    whenever this returns a pair; other strings are for ``Fraction(text)``.
+    """
+    p, slash, q = text.partition("/")
+    if (slash and q.isdigit() and (p[1:] if p[:1] == "-" else p).isdigit()
+            and text.isascii()):
+        q = int(q)
+        if q:
+            return int(p), q
+    return None
+
+
 def parse_scalar(text, backend: str = "rational") -> Scalar:
     """Parse a JSON-level number: "p/q" strings, ints, or finite floats.
 
     Zero denominators, JSON's Infinity and NaN, and (on the float backend)
-    values beyond double range are ValueErrors.
+    values beyond double range are ValueErrors.  A strict "p/q" string is
+    split by ``ratio_parts``; any other string goes to ``Fraction(text)``.
     """
     if backend not in ("rational", "float"):
         raise ValueError(f"unknown backend {backend!r}")
     if isinstance(text, str):
+        parts = ratio_parts(text)
         try:
-            value = Fraction(text)
+            value = Fraction(*parts) if parts else Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
     elif isinstance(text, (int, Fraction)):

@@ -5,12 +5,11 @@ backend parses every number as an IEEE double instead.  Vectors over
 finitely supported l1 are written as sparse [index, value] pairs (0-based);
 finite-dimensional vectors are dense arrays.  Field order is fixed so that
 emitted files diff cleanly.  Malformed numbers, such as a non-integer
-index or a negative sparse index, are ValueErrors.
+index or a negative or repeated sparse index, are ValueErrors.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Any, Dict
 
 from .certify import Certificate
@@ -18,8 +17,8 @@ from .cube import SignedPerm, Vec4
 from .errors import DomainError
 from .fixes import FixRequest, FixResult
 from .quadop import Quad
-from .scalars import parse_scalar, scalar_to_json
-from .spaces import Functional, SpaceDescriptor, YVec
+from .scalars import parse_scalar, ratio_parts, scalar_to_json
+from .spaces import Functional, SpaceDescriptor, YVec, from_ratios
 
 
 def _int(value) -> int:
@@ -67,18 +66,42 @@ def yvec_to_json(y: YVec, backend: str = "rational"):
     return [emit(c) for c in y.coords]
 
 
+def _ratio(value):
+    """(p, q) of a rational-backend number; a strict "p/q" string is split
+    directly, any other value goes through ``parse_scalar``."""
+    parts = ratio_parts(value) if type(value) is str else None
+    if parts is None:
+        f = parse_scalar(value)
+        parts = f.numerator, f.denominator
+    return parts
+
+
 def yvec_from_json(space: SpaceDescriptor, data, backend: str = "rational") -> YVec:
+    """A vector from its dense list, or from sparse [index, value] pairs.
+
+    On the rational backend each value's (p, q) is read in file order and
+    ``from_ratios`` builds the numerators directly; the float backend parses
+    each value with ``parse_scalar``.
+    """
     if space.infinite:
-        pairs = [(_int(i), parse_scalar(v, backend)) for i, v in data]
-        if any(i < 0 for i, _ in pairs):
+        pairs = [(_int(i), v) for i, v in data]
+        indices = [i for i, _ in pairs]
+        if any(i < 0 for i in indices):
             raise ValueError(f"negative sparse index in {data!r}")
-        width = 1 + max((i for i, _ in pairs), default=-1)
-        zero = Fraction(0) if backend == "rational" else 0.0
-        coords = [zero] * width
-        for i, v in pairs:
-            coords[i] = v
-        return YVec(space, tuple(coords))
-    return YVec(space, tuple(parse_scalar(c, backend) for c in data))
+        if len(set(indices)) != len(indices):
+            raise ValueError(f"repeated sparse index in {data!r}")
+        data = [v for _, v in pairs]
+    if backend == "rational":
+        values, zero, build = [_ratio(v) for v in data], (0, 1), from_ratios
+    else:
+        values = [parse_scalar(v, backend) for v in data]
+        zero, build = parse_scalar(0, backend), YVec
+    if space.infinite:
+        dense = [zero] * (1 + max(indices, default=-1))
+        for i, v in zip(indices, values):
+            dense[i] = v
+        values = dense
+    return build(space, values)
 
 
 def functional_to_json(f: Functional, backend: str = "rational") -> Dict[str, Any]:
@@ -100,6 +123,13 @@ def quad_to_json(q: Quad, backend: str = "rational") -> Dict[str, Any]:
 def quad_from_json(data: Dict[str, Any], backend: str = "rational") -> Quad:
     space = space_from_json(data["space"])
     return Quad(tuple(yvec_from_json(space, y, backend) for y in data["ys"]))
+
+
+def search_from_json(data: Dict[str, Any], backend: str = "rational"):
+    """A brute-search instance: quadruple, 1-based active set and eps."""
+    return (quad_from_json(data["quad"], backend),
+            frozenset(map(_int, data["active"])),
+            parse_scalar(data["eps"], backend))
 
 
 def perm_to_json(g: SignedPerm) -> Dict[str, Any]:

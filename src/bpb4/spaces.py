@@ -2,7 +2,8 @@
 sup-norm spaces, and the reals.
 
 Vectors are dense coordinate tuples; in the infinite l1 case the tuple is
-the finite support prefix and shorter vectors are zero-padded on demand.
+the finite support prefix and shorter vectors are zero-padded on demand, so
+equality and hashing there ignore trailing zeros.
 Exact vectors are stored as integer numerators over one denominator (see
 ``YVec``).  l1 and sup norms stay exact on the rational backend; lp norms
 are floats.
@@ -86,7 +87,8 @@ class YVec:
     ``coords`` is the public view: a tuple of Fractions or floats.  A vector
     whose coordinates are all Fractions is exact and is stored as integer
     numerators ``num`` over one positive denominator ``den``, reduced so that
-    ``gcd(den, *num) == 1``; equal exact vectors have equal ``(num, den)``.
+    ``gcd(den, *num) == 1``; equal exact vectors have equal ``(num, den)``,
+    up to trailing zeros on finitely supported l1.
     Its ``coords`` are built from them on first read and kept.  Float and
     mixed vectors store ``coords`` alone, with ``den`` None, and never build
     numerators.  Vectors are immutable.
@@ -96,10 +98,7 @@ class YVec:
 
     def __init__(self, space: SpaceDescriptor, coords):
         coords = tuple(map(coerce, coords))
-        if not space.infinite and len(coords) != space.dim:
-            raise DomainError(
-                f"coordinate count {len(coords)} != dimension {space.dim}"
-            )
+        _check_count(space, len(coords))
         _set_space(self, space)
         _set_coords(self, coords)
         if float in map(type, coords):
@@ -131,11 +130,19 @@ class YVec:
         if self.space != other.space:
             return False
         if self.den is not None and other.den is not None:
-            return self.den == other.den and self.num == other.num
-        return self.coords == other.coords
+            if self.den != other.den:
+                return False
+            a, b = self.num, other.num
+        else:
+            a, b = self.coords, other.coords
+        if len(a) != len(b):  # finitely supported l1: compare the values
+            return _trimmed(a) == _trimmed(b)
+        return a == b
 
     def __hash__(self):
-        return hash((self.space, self.coords))
+        coords = self.coords
+        return hash((self.space,
+                     _trimmed(coords) if self.space.infinite else coords))
 
     def __repr__(self):
         return f"YVec(space={self.space!r}, coords={self.coords!r})"
@@ -172,6 +179,19 @@ _set_space = YVec.space.__set__
 _set_coords = YVec._coords.__set__
 _set_num = YVec.num.__set__
 _set_den = YVec.den.__set__
+
+
+def _check_count(space: SpaceDescriptor, count: int):
+    if not space.infinite and count != space.dim:
+        raise DomainError(f"coordinate count {count} != dimension {space.dim}")
+
+
+def _trimmed(entries):
+    """entries without their trailing zeros."""
+    n = len(entries)
+    while n and entries[n - 1] == 0:
+        n -= 1
+    return entries[:n]
 
 
 def _combine(a: YVec, b: YVec, op) -> YVec:
@@ -228,6 +248,18 @@ def _exact(space: SpaceDescriptor, num, den: int) -> YVec:
         num = tuple(n // g for n in num)
         den //= g
     return _exact_reduced(space, num, den)
+
+
+def from_ratios(space: SpaceDescriptor, ratios) -> YVec:
+    """The exact vector with coordinates p/q, one (p, q) per coordinate, q > 0.
+
+    The same vector, with the same ``(num, den)``, as ``YVec(space,
+    [Fraction(p, q) ...])`` for unreduced ratios too, but it builds no
+    Fraction: the numerators over lcm(q...) are reduced once.
+    """
+    _check_count(space, len(ratios))
+    den = math.lcm(*[q for _, q in ratios])
+    return _exact(space, tuple(p * (den // q) for p, q in ratios), den)
 
 
 def zero(space: SpaceDescriptor) -> YVec:

@@ -66,6 +66,19 @@ class TestCorrectAndVerify:
         open(cert_path, "w").write(json.dumps(data))
         assert main(["verify", cert_path]) == 1
 
+    def test_three_isometry_signs_is_exit_two(self, instance_file, tmp_path,
+                                              capsys):
+        cert_path = tmp_path / "cert.json"
+        main(["correct", instance_file, "--eps", "3/10", "--out", str(cert_path)])
+        data = json.loads(cert_path.read_text())
+        data["isometry"]["signs"] = data["isometry"]["signs"][:3]
+        cert_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", str(cert_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: signs must be four entries")
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_precondition_failure_is_exit_two(self, tmp_path):
         # Operator attains too far from the requested point.
         sp = l1(1)
@@ -151,12 +164,14 @@ class TestNoTracebacks:
 
     @pytest.mark.parametrize("space, backend, path, value, code", [
         (l1(None), "rational", ("T", "ys", 1), [[-10, "1/2"]], 3),
+        (l1(None), "rational", ("T", "ys", 1), [[0, "1/2"], [0, "1/3"]], 3),
         (l1(2), "rational", ("T", "ys", 0, 1), float("inf"), 3),
         (lp(2, 3), "float", ("T", "ys", 0, 1), "1e400", 3),  # not a double
         (lp(2, 3), "rational", ("T", "ys", 0, 1), 1e300, 2),  # square overflows
         (lp(2, 3), "rational", ("T", "space", "p"), "1e400", 2),
-    ], ids=["negative-sparse-index", "infinity-literal", "float-beyond-double",
-            "lp-norm-beyond-double", "lp-exponent-beyond-double"])
+    ], ids=["negative-sparse-index", "repeated-sparse-index", "infinity-literal",
+            "float-beyond-double", "lp-norm-beyond-double",
+            "lp-exponent-beyond-double"])
     def test_bad_number_in_instance(self, space, backend, path, value, code,
                                     tmp_path, capsys):
         T, x0 = make_instance(space, F(3, 10), 0, 0)
@@ -272,6 +287,16 @@ class TestBruteSearch:
         assert main(["brute-search", path, "--grid", "9"]) == 0
         assert json.loads(capsys.readouterr().out)["found"]
 
+    @pytest.mark.parametrize("index", [float("inf"), 1.5, "2", True])
+    def test_non_integer_active_index_is_usage_error(self, index, tmp_path,
+                                                      capsys):
+        path = self._write(tmp_path, (1 - F(1, 1000), 1, -1, -1), {1, 2}, "1/10")
+        data = json.loads(open(path).read())
+        data["active"][1] = index  # json writes inf as the Infinity literal
+        open(path, "w").write(json.dumps(data))
+        assert main(["brute-search", path, "--grid", "9"]) == 3
+        assert capsys.readouterr().err.startswith("malformed input:")
+
     def test_inconclusive_is_exit_one(self, tmp_path, capsys):
         path = self._write(tmp_path, (F(1, 2), F(1, 3), F(-1, 2), F(-1, 2)),
                            {1, 2}, "1/100")
@@ -284,6 +309,14 @@ INSTANCES = tuple(
 CERTIFICATES = tuple(
     serial.certificate_to_json(correct(*serial.instance_from_json(inst), F(3, 10)))
     for inst in INSTANCES)
+REQUESTS = tuple(serial.fix_request_to_json(l1_request(dim=2, k=k, eps=F(1, 4),
+                                                       seed=0))
+                 for k in (1, 3))
+SEARCHES = tuple(
+    {"quad": serial.quad_to_json(Quad(tuple(YVec(sp, (F(c),)) for c in ys))),
+     "active": [1, 2], "eps": "1/10"}
+    for sp, ys in ((reals(), (1 - F(1, 1000), 1, -1, -1)),
+                   (l1(1), (F(1, 2), F(1, 3), F(-1, 2), F(-1, 2)))))
 
 # Values a mutation puts in place of any node.  Integers stay small: a sparse
 # l1 index of n builds an n-entry list.
@@ -336,8 +369,9 @@ def _mutate(draw, doc):
 
 
 class TestMutatedJson:
-    """Mutated instance and certificate files never raise out of ``main``;
-    ``correct`` never reports a verification failure (exit 1)."""
+    """Mutated instance, certificate, request and search files never raise
+    out of ``main``; ``correct`` never reports a verification failure
+    (exit 1)."""
 
     @given(st.data())
     @settings(max_examples=150)
@@ -358,3 +392,22 @@ class TestMutatedJson:
         path = tmp_path_factory.mktemp("fuzz") / "certificate.json"
         path.write_text(json.dumps(doc))
         assert main(["--backend", backend, "verify", str(path)]) in (0, 1, 2, 3)
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_check_ahsp(self, tmp_path_factory, data):
+        doc = _mutate(data.draw, data.draw(st.sampled_from(REQUESTS)))
+        backend = data.draw(st.sampled_from(["rational", "float"]))
+        path = tmp_path_factory.mktemp("fuzz") / "request.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--backend", backend, "check-ahsp", str(path)]) in (0, 1, 2, 3)
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_brute_search(self, tmp_path_factory, data):
+        doc = _mutate(data.draw, data.draw(st.sampled_from(SEARCHES)))
+        backend = data.draw(st.sampled_from(["rational", "float"]))
+        path = tmp_path_factory.mktemp("fuzz") / "search.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--backend", backend, "brute-search", str(path),
+                     "--grid", "5"]) in (0, 1, 2, 3)

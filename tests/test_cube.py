@@ -97,6 +97,11 @@ class TestSignedPerm:
             assert g.inverse().apply(g.apply(x)).coords == x.coords
             assert g.compose(g.inverse()) == SignedPerm((0, 1, 2, 3), (1, 1, 1, 1))
 
+    @pytest.mark.parametrize("signs", [(1, 1, 1), (1, 1, 1, 1, 1), ()])
+    def test_signs_need_four_entries(self, signs):
+        with pytest.raises(DomainError, match="four entries"):
+            SignedPerm((0, 1, 2, 3), signs)
+
     def test_isometry(self):
         rng = rng_for("perm-iso")
         g = SignedPerm((2, 0, 3, 1), (1, -1, -1, 1))

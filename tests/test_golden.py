@@ -1,19 +1,23 @@
-"""Byte-identity gate: pinned SHA-256 digests of certificate JSON and sweep CSVs.
+"""Byte-identity gate: pinned SHA-256 digests of certificate JSON, of the
+checker's report on those certificates, and of sweep CSVs.
 
 Certificates come from ``make_instance`` cases written the way ``bpb4
 correct`` writes them (instance JSON round trip, then ``certificate_to_json``
-rendered with ``json.dumps(..., indent=2)``); CSVs are ``sweep`` output.  A
-change to any of these bytes must be deliberate: update the digest and record
-the reason in CHANGES.md.
+rendered with ``json.dumps(..., indent=2)``); the report is the stdout of
+``bpb4 verify`` on each of them; CSVs are ``sweep`` output.  A change to any
+of these bytes must be deliberate: update the digest and record the reason
+in CHANGES.md.
 """
 
 import hashlib
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from bpb4 import correct, l1, lp, make_instance, reals, serial, sweep
+from bpb4.cli import main
 from bpb4.scalars import parse_scalar
 
 EPS_TEXTS = ("1/10", "3/10", "3/5")
@@ -31,6 +35,19 @@ CERTIFICATE_DIGESTS = {  # name: (space, backend, sha256)
         "6bd173d95a1210b6cb711a4e8901287d13318d0a59809c19efe070d5fe6ce292"),
     "lp:2:3": (lp(2, 3), "float",
         "44e210bcf1523c25c53be888ea5f7a5f8f2b3516ccefc6843d3aa0b4ae90e7e6"),
+}
+
+VERIFY_DIGESTS = {  # name: sha256 of `bpb4 verify` stdout, certificate by certificate
+    "r":
+        "c6fe4ede514fb9567a179773cdd965ce228af3381c230d0a27da4e95089febbf",
+    "l1:2":
+        "dba8e9ce42a51b41652267869456735f6c6878fcca8b634fc8c015d16da64fd2",
+    "l1:4":
+        "7fe6ab253cf44a310da8489393a77daf544f4104e291e34576b47d3b898b92de",
+    "l1:inf":
+        "97e88223c183c0d5901bca1cb400c3317839b757bf7824e75cece7cbe732f6e1",
+    "lp:2:3":
+        "b021dad7f5627e508106eb3308dff865d0750c7273444d7ea9e165b59f83f3df",
 }
 
 SWEEP_COUNT = 20
@@ -52,7 +69,8 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def certificates_text(space, backend: str) -> str:
+@lru_cache(maxsize=None)
+def certificate_texts(space, backend: str):
     parts = []
     for eps_text, eps in zip(EPS_TEXTS, EPS):
         for index in range(CASES):
@@ -62,13 +80,29 @@ def certificates_text(space, backend: str) -> str:
             cert = correct(T, x0, parse_scalar(eps_text, backend))
             parts.append(json.dumps(serial.certificate_to_json(cert, backend),
                                     indent=2))
-    return "\n".join(parts) + "\n"
+    return tuple(parts)
+
+
+def certificates_text(space, backend: str) -> str:
+    return "\n".join(certificate_texts(space, backend)) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFICATE_DIGESTS))
 def test_certificate_bytes(name):
     space, backend, digest = CERTIFICATE_DIGESTS[name]
     assert _sha(certificates_text(space, backend)) == digest
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_DIGESTS))
+def test_verify_report_bytes(name, tmp_path, capsys):
+    space, backend, _ = CERTIFICATE_DIGESTS[name]
+    path = tmp_path / "certificate.json"
+    report = []
+    for text in certificate_texts(space, backend):
+        path.write_text(text + "\n")
+        assert main(["--backend", backend, "verify", str(path)]) == 0
+        report.append(capsys.readouterr().out)
+    assert _sha("".join(report)) == VERIFY_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))

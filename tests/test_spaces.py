@@ -271,6 +271,18 @@ class TestExactVectors:
         assert u.scale(2) == u + u
 
     @given(st.data())
+    def test_trailing_zeros_leave_a_finitely_supported_vector_equal(self, data):
+        sp = l1(None)
+        a = data.draw(coords_st(sp, small_dyadics))
+        zeros = data.draw(st.lists(st.sampled_from([F(0), 0.0, -0.0]),
+                                   min_size=1, max_size=3).map(tuple))
+        u = YVec(sp, a)
+        for w in (YVec(sp, a + zeros), YVec(sp, tuple(map(float, a)) + zeros)):
+            assert u == w and w == u and hash(u) == hash(w)
+        assert u != YVec(sp, a + zeros + (F(1, 2),))
+        assert YVec(l1(3), (F(1, 2), 0, 0)) != YVec(l1(2), (F(1, 2), 0))
+
+    @given(st.data())
     def test_equal_to_the_float_vector_of_equal_value(self, data):
         space = data.draw(st.sampled_from(EXACT_SPACES))
         a = data.draw(coords_st(space, small_dyadics))  # exact as doubles
