@@ -16,7 +16,6 @@ from .certify import (
     verify_certificate,
 )
 from .cube import (
-    BASE_VERTICES,
     FACES,
     FaceDecomposition,
     SignedPerm,

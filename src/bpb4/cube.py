@@ -87,8 +87,6 @@ VERTICES: Tuple[Vec4, ...] = (
     Vec4((1, -1, 1, -1)),
 )
 
-BASE_VERTICES: Tuple[Vec4, ...] = VERTICES[:4]
-
 #: The six simplicial faces covering the lead face, as 1-based vertex index sets.
 FACES: Dict[int, FrozenSet[int]] = {
     1: frozenset({1, 2, 3, 4}),
@@ -99,7 +97,9 @@ FACES: Dict[int, FrozenSet[int]] = {
     6: frozenset({1, 4, 7, 8}),
 }
 
-_VERTEX_INDEX = {v.coords: i + 1 for i, v in enumerate(VERTICES)}
+#: The vertices as int sign tuples, and the 1-based index of each.
+_SIGNS = tuple(tuple(int(c) for c in v.coords) for v in VERTICES)
+_VERTEX_INDEX = {v: j for j, v in enumerate(_SIGNS, 1)}
 
 
 def vertex(i: int) -> Vec4:
@@ -147,26 +147,17 @@ class SignedPerm:
         if len(self.signs) != 4 or any(s not in (-1, 1) for s in self.signs):
             raise DomainError(f"signs must be four entries +-1: {self.signs}")
 
-    @staticmethod
-    def negation() -> "SignedPerm":
-        return SignedPerm((0, 1, 2, 3), (-1, -1, -1, -1))
-
-    @staticmethod
-    def swap(i: int, j: int) -> "SignedPerm":
-        perm = [0, 1, 2, 3]
-        perm[i], perm[j] = perm[j], perm[i]
-        return SignedPerm(tuple(perm), (1, 1, 1, 1))
-
     def apply(self, x: Vec4) -> Vec4:
         c = x.coords
         return _vec4(tuple(c[p] if s > 0 else -c[p]
                            for p, s in zip(self.perm, self.signs)))
 
-    def compose(self, other: "SignedPerm") -> "SignedPerm":
-        """self after other: (self.compose(other))(x) == self(other(x))."""
-        perm = tuple(other.perm[self.perm[i]] for i in range(4))
-        signs = tuple(self.signs[i] * other.signs[self.perm[i]] for i in range(4))
-        return SignedPerm(perm, signs)
+    def vertex_image(self, i: int) -> Tuple[int, int]:
+        """(j, s) with self(v_i) == s * v_j, from the signs of v_i alone."""
+        v = _SIGNS[i - 1]
+        lead = self.signs[0] * v[self.perm[0]]
+        w = tuple(lead * s * v[p] for p, s in zip(self.perm, self.signs))
+        return _VERTEX_INDEX[w], lead
 
     def inverse(self) -> "SignedPerm":
         perm = [0] * 4
@@ -203,7 +194,7 @@ class FaceDecomposition:
 
     ``vertex_indices[j]`` pairs with ``weights[j]``; ``pullback`` is the
     coordinate permutation carrying the base simplex onto this face, so that
-    vertex(vertex_indices[j]) == pullback.apply(BASE_VERTICES[j]).
+    vertex(vertex_indices[j]) == pullback.apply(vertex(j + 1)).
     """
 
     face: int
@@ -235,9 +226,7 @@ def _decompose(x: Vec4) -> FaceDecomposition:
     sorted_x = forward.apply(x)
     weights = coords(sorted_x)
     pullback = forward.inverse()
-    vertex_indices = tuple(
-        _VERTEX_INDEX[pullback.apply(v).coords] for v in BASE_VERTICES
-    )
+    vertex_indices = tuple(pullback.vertex_image(i)[0] for i in (1, 2, 3, 4))
     face = next(k for k, members in FACES.items() if members == set(vertex_indices))
     return FaceDecomposition(face, vertex_indices, weights, pullback)
 
@@ -245,22 +234,21 @@ def _decompose(x: Vec4) -> FaceDecomposition:
 def reduce_to_base(x: Vec4) -> Tuple[SignedPerm, Vec4]:
     """Split a unit vector as x = g(x') with g an isometry, x' in co{v1..v4}.
 
-    The smallest index carrying a unit-magnitude coordinate is moved to slot
-    1; a global sign flip makes it +1; the face-sorting permutation is then
-    absorbed into g.
+    Index work only: the first index j with |x(j)| = 1 goes to slot 1 and the
+    sign s of x(j) into g; the other indices follow, in the order a swap of
+    slots 1 and j leaves them, sorted stably by s * x as in ``_decompose``.
     """
-    tol = tol_of(*x.coords)
+    c = x.coords
+    tol = tol_of(*c)
     if abs(x.sup_norm() - 1) > tol:
-        raise DomainError(f"not a unit vector: {x.coords}")
-    j = next(i for i in range(4) if abs(abs(x[i]) - 1) <= tol)
-    forward = SignedPerm.swap(0, j)
-    if x[j] < 0:
-        forward = SignedPerm.negation().compose(forward)
-    y = forward.apply(x)
-    fd = face_decompose(y)
-    forward = fd.pullback.inverse().compose(forward)
-    base_point = reconstruct(fd.weights, (1, 2, 3, 4))
-    return forward.inverse(), base_point
+        raise DomainError(f"not a unit vector: {c}")
+    j = next(i for i in range(4) if abs(abs(c[i]) - 1) <= tol)
+    s = -1 if c[j] < 0 else 1
+    # Ascending in -x is descending in x; a reversed sort keeps ties stable.
+    order = (j, *sorted((0 if k == j else k for k in (1, 2, 3)),
+                        key=c.__getitem__, reverse=s < 0))
+    base = tuple(c[k] for k in order) if s > 0 else tuple(-c[k] for k in order)
+    return SignedPerm(tuple(map(order.index, range(4))), (s,) * 4), _vec4(base)
 
 
 @dataclass(frozen=True)

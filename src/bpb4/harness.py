@@ -163,9 +163,9 @@ def brute_ahsp_search(q: Quad, active, eps: Scalar,
     Float input keeps the unfiltered lists, because rounding breaks that
     implication (1 + (1 - 2**-53) rounds to 2.0).
 
-    Raises SizeError when one index's grid, or the product of the candidate
-    lists built so far (after the norm-one filter), exceeds SEARCH_BUDGET;
-    it is checked as each list is built, so a hopeless search stops early.
+    Raises DomainError unless 0 < eps < 1, and SizeError when one index's
+    grid, or the product of the candidate lists built so far (after the
+    norm-one filter), exceeds SEARCH_BUDGET, checked as each list is built.
     Returns None as soon as some index has no candidate, which can happen
     before the product grows too large: the near-face l1:4 quadruple of
     ``GenSpec(l1(4), 0, "near-face", 1/10)`` with C = {1, 2, 3, 4} at
@@ -177,6 +177,8 @@ def brute_ahsp_search(q: Quad, active, eps: Scalar,
     if space.infinite or space.family == "lp":
         raise SizeError("brute search needs a finite-dimensional exact norm")
     eps = coerce(eps)
+    if not 0 < eps < 1:
+        raise DomainError(f"eps must lie in (0, 1): {eps}")
     active = sorted(frozenset(active))
     if not active or not set(active) <= {1, 2, 3, 4}:
         raise DomainError(f"bad active set: {active}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .cube import BASE_VERTICES, VERTICES, SignedPerm, Vec4, coords
+from .cube import SignedPerm, Vec4, coords
 from .errors import DomainError
 from .scalars import Scalar, tol_of
 from .spaces import SpaceDescriptor, YVec, norm, zero
@@ -21,8 +21,6 @@ from .spaces import SpaceDescriptor, YVec, norm, zero
 #: The alternating index triples (1-based) whose sums must stay in the ball.
 TRIPLES: Tuple[Tuple[int, int, int], ...] = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
-#: 1-based index of each lead-face vertex v1..v8, keyed by its coordinates.
-_VERTEX_INDEX = {v.coords: j for j, v in enumerate(VERTICES, 1)}
 _LABELS = ("y1", "y2", "y3", "y4") + tuple(f"y{a}-y{b}+y{c}" for a, b, c in TRIPLES)
 
 
@@ -104,15 +102,16 @@ def apply(q: Quad, x: Vec4) -> YVec:
 def compose(q: Quad, g: SignedPerm) -> Quad:
     """T o g for a signed permutation g of the domain.
 
-    g carries each base vertex to +-v_j with j in 1..8, so each image is
-    +-T(v_j), one of T's eight extreme images: nothing is expanded in
+    g carries each base vertex v_i to s * v_j with j in 1..8, read off g's
+    index tuples (``SignedPerm.vertex_image``), so each image is s * T(v_j),
+    one of T's eight extreme images: no vector is permuted, expanded in
     coordinates, halved or scaled.
     """
     ys = []
-    for v in BASE_VERTICES:
-        w = g.apply(v)
-        y = _extreme_image(q, _VERTEX_INDEX[(w if w[0] > 0 else -w).coords])
-        ys.append(y if w[0] > 0 else -y)
+    for i in (1, 2, 3, 4):
+        j, s = g.vertex_image(i)
+        y = _extreme_image(q, j)
+        ys.append(y if s > 0 else -y)
     return Quad(ys)
 
 

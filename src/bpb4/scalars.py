@@ -69,8 +69,8 @@ def parse_scalar(text, backend: str = "rational") -> Scalar:
     """Parse a JSON-level number: "p/q" strings, ints, or finite floats.
 
     Zero denominators, JSON's Infinity and NaN, and (on the float backend)
-    values beyond double range are ValueErrors.  A strict "p/q" string is
-    split by ``ratio_parts``; any other string goes to ``Fraction(text)``.
+    values beyond double range are ValueErrors; booleans are TypeErrors.  A
+    strict "p/q" string is split by ``ratio_parts``, others go to ``Fraction``.
     """
     if backend not in ("rational", "float"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -80,6 +80,8 @@ def parse_scalar(text, backend: str = "rational") -> Scalar:
             value = Fraction(*parts) if parts else Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
+    elif isinstance(text, bool):
+        raise TypeError("booleans are not scalars")
     elif isinstance(text, (int, Fraction)):
         value = Fraction(text)
     elif isinstance(text, float):

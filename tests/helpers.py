@@ -6,6 +6,7 @@ reproducible; exact-backend values are small-denominator Fractions.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Tuple
@@ -15,6 +16,7 @@ from bpb4 import (
     Functional,
     GenSpec,
     Quad,
+    SignedPerm,
     SpaceDescriptor,
     Vec4,
     YVec,
@@ -50,6 +52,19 @@ def base_simplex_point(rng: random.Random) -> Vec4:
     for wi, i in zip(w, (1, 2, 3, 4)):
         total = total + vertex(i).scale(wi)
     return total
+
+
+#: All 384 signed permutations of the four coordinates.
+SIGNED_PERMS = tuple(SignedPerm(perm, signs)
+                     for perm in itertools.permutations(range(4))
+                     for signs in itertools.product((1, -1), repeat=4))
+
+
+def compose_perms(g: SignedPerm, h: SignedPerm) -> SignedPerm:
+    """g after h: compose_perms(g, h).apply(x) == g.apply(h.apply(x))."""
+    perm = tuple(h.perm[g.perm[i]] for i in range(4))
+    signs = tuple(g.signs[i] * h.signs[g.perm[i]] for i in range(4))
+    return SignedPerm(perm, signs)
 
 
 def lead_face_point(rng: random.Random) -> Vec4:

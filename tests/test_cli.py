@@ -169,9 +169,11 @@ class TestNoTracebacks:
         (lp(2, 3), "float", ("T", "ys", 0, 1), "1e400", 3),  # not a double
         (lp(2, 3), "rational", ("T", "ys", 0, 1), 1e300, 2),  # square overflows
         (lp(2, 3), "rational", ("T", "space", "p"), "1e400", 2),
+        (l1(2), "rational", ("T", "ys", 0, 1), True, 3),
+        (l1(2), "float", ("x0", 2), False, 3),
     ], ids=["negative-sparse-index", "repeated-sparse-index", "infinity-literal",
             "float-beyond-double", "lp-norm-beyond-double",
-            "lp-exponent-beyond-double"])
+            "lp-exponent-beyond-double", "true-coordinate", "false-x0-coordinate"])
     def test_bad_number_in_instance(self, space, backend, path, value, code,
                                     tmp_path, capsys):
         T, x0 = make_instance(space, F(3, 10), 0, 0)
@@ -296,6 +298,14 @@ class TestBruteSearch:
         open(path, "w").write(json.dumps(data))
         assert main(["brute-search", path, "--grid", "9"]) == 3
         assert capsys.readouterr().err.startswith("malformed input:")
+
+    @pytest.mark.parametrize("eps", ["-1/10", "0/1", "3/1"])
+    def test_eps_outside_unit_interval_is_exit_two(self, eps, tmp_path, capsys):
+        path = self._write(tmp_path, (1 - F(1, 1000), 1, -1, -1), {1, 2}, eps)
+        assert main(["brute-search", path, "--grid", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: eps must lie in (0, 1)")
+        assert captured.out == ""
 
     def test_inconclusive_is_exit_one(self, tmp_path, capsys):
         path = self._write(tmp_path, (F(1, 2), F(1, 3), F(-1, 2), F(-1, 2)),

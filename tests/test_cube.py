@@ -1,5 +1,6 @@
 """Geometry of the lead face: coordinates, faces, reductions, corrections."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,15 @@ from bpb4 import (
     reduce_to_base,
     vertex,
 )
-from helpers import base_simplex_point, lead_face_point, rand_vec4, rng_for
+from bpb4.scalars import tol_of
+from helpers import (
+    SIGNED_PERMS,
+    base_simplex_point,
+    compose_perms,
+    lead_face_point,
+    rand_vec4,
+    rng_for,
+)
 
 F = Fraction
 
@@ -93,14 +102,20 @@ class TestSignedPerm:
             rng.shuffle(perm2)
             h = SignedPerm(tuple(perm2), tuple(rng.choice((1, -1)) for _ in range(4)))
             x = rand_vec4(rng)
-            assert g.compose(h).apply(x).coords == g.apply(h.apply(x)).coords
+            assert compose_perms(g, h).apply(x).coords == g.apply(h.apply(x)).coords
             assert g.inverse().apply(g.apply(x)).coords == x.coords
-            assert g.compose(g.inverse()) == SignedPerm((0, 1, 2, 3), (1, 1, 1, 1))
+            assert compose_perms(g, g.inverse()) == SignedPerm((0, 1, 2, 3), (1, 1, 1, 1))
 
     @pytest.mark.parametrize("signs", [(1, 1, 1), (1, 1, 1, 1, 1), ()])
     def test_signs_need_four_entries(self, signs):
         with pytest.raises(DomainError, match="four entries"):
             SignedPerm((0, 1, 2, 3), signs)
+
+    def test_vertex_image_is_the_signed_vertex_hit(self):
+        for g in SIGNED_PERMS:
+            for i in (1, 2, 3, 4):
+                j, s = g.vertex_image(i)
+                assert g.apply(vertex(i)).coords == vertex(j).scale(s).coords
 
     def test_isometry(self):
         rng = rng_for("perm-iso")
@@ -110,7 +125,88 @@ class TestSignedPerm:
             assert g.apply(x).sup_norm() == x.sup_norm()
 
 
+def reduce_to_base_reference(x):
+    """reduce_to_base as the chain of isometries it replaced: swap the first
+    unit-magnitude coordinate into slot 1, flip the global sign, sort the
+    face, compose the three, and rebuild the base point from its weights."""
+    tol = tol_of(*x.coords)
+    assert abs(x.sup_norm() - 1) <= tol
+    j = next(i for i in range(4) if abs(abs(x[i]) - 1) <= tol)
+    swap = [0, 1, 2, 3]
+    swap[0], swap[j] = j, 0
+    forward = SignedPerm(tuple(swap), (1, 1, 1, 1))
+    if x[j] < 0:
+        forward = compose_perms(SignedPerm((0, 1, 2, 3), (-1, -1, -1, -1)),
+                                forward)
+    fd = face_decompose(forward.apply(x))
+    forward = compose_perms(fd.pullback.inverse(), forward)
+    return forward.inverse(), reconstruct(fd.weights, (1, 2, 3, 4))
+
+
+def _pinned(coords, k, value):
+    coords[k] = value
+    return Vec4(coords)
+
+
+def unit_vector_st(coord_st, one):
+    """Four coordinates from coord_st with one of them pinned to +-one."""
+    return st.builds(_pinned, st.lists(coord_st, min_size=4, max_size=4),
+                     st.integers(0, 3), st.sampled_from((one, -one)))
+
+
+exact_unit_st = unit_vector_st(
+    st.one_of(fractions_st, st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 2), F(1)])),
+    F(1))
+float_ties_st = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+float_unit_st = st.one_of(
+    unit_vector_st(st.one_of(st.floats(-1, 1), float_ties_st), 1.0),
+    # Unit up to the float tolerance: the lead coordinate need not be 1.
+    unit_vector_st(st.one_of(st.floats(-1, 1), float_ties_st),
+                   1 - 2.0 ** -40))
+# Multiples of 2**-52 whose first unit-magnitude coordinate is exactly +-1:
+# there the reference's halvings and sums round nothing.
+_GRID = 2 ** 52
+grid_unit_st = unit_vector_st(
+    st.one_of(st.integers(-(_GRID - 2 ** 23), _GRID - 2 ** 23).map(
+        lambda k: k / _GRID), float_ties_st), 1.0)
+
+
 class TestReduceToBase:
+    @staticmethod
+    def _assert_matches_reference(x, base_too=True):
+        g, x_base = reduce_to_base(x)
+        ref_g, ref_base = reduce_to_base_reference(x)
+        assert (g.perm, g.signs) == (ref_g.perm, ref_g.signs)
+        if base_too:
+            assert x_base.coords == ref_base.coords
+        assert g.apply(x_base).coords == x.coords
+        assert in_base_simplex(x_base)
+
+    @given(grid_unit_st)
+    def test_matches_reference_on_float_grid_vectors(self, x):
+        self._assert_matches_reference(x)
+
+    @given(float_unit_st)
+    def test_same_isometry_as_reference_on_any_float_vector(self, x):
+        # Off the grid the reference rounds its rebuilt base point; the
+        # permuted point needs no rounding, so g(x') == x still holds exactly.
+        self._assert_matches_reference(x, base_too=False)
+
+    def test_base_point_is_permuted_not_rebuilt(self):
+        x = Vec4((0.25, 1.0, 0.1, 0.7))
+        g, x_base = reduce_to_base(x)
+        assert x_base.coords == (1.0, 0.1, 0.25, 0.7)
+        assert g.apply(x_base).coords == x.coords
+        assert reduce_to_base_reference(x)[1][1] == 0.10000000000000003
+
+    def test_matches_reference_on_moved_base_simplex_points(self):
+        rng = rng_for("reduce-moved")
+        points = [vertex(1), vertex(4), Vec4((1, 0, 0, 0)), Vec4((1, 0, 0, 1))]
+        points += [base_simplex_point(rng) for _ in range(4)]
+        for p in points:
+            for g in SIGNED_PERMS:
+                self._assert_matches_reference(g.apply(p))
+
     def test_negated_first_vertex_uses_global_flip(self):
         g, x_base = reduce_to_base(-vertex(1))
         assert x_base.coords == vertex(1).coords
@@ -118,23 +214,13 @@ class TestReduceToBase:
         assert g.signs == (-1, -1, -1, -1)
 
     def test_all_sixteen_sign_vectors(self):
-        import itertools
-        for signs in itertools.product((1, -1), repeat=4):
-            x = Vec4(signs)
-            g, x_base = reduce_to_base(x)
-            assert in_base_simplex(x_base)
-            assert g.apply(x_base).coords == x.coords
+        for one in (F(1), 1.0):
+            for signs in itertools.product((1, -1), repeat=4):
+                self._assert_matches_reference(Vec4(tuple(s * one for s in signs)))
 
-    @given(vec4_st, st.integers(min_value=0, max_value=3),
-           st.sampled_from((1, -1)))
-    def test_random_unit_vectors(self, x, pin, sign):
-        # Pin one coordinate to +-1 so the vector is on the unit sphere.
-        cs = list(x.coords)
-        cs[pin] = F(sign)
-        x = Vec4(tuple(cs))
-        g, x_base = reduce_to_base(x)
-        assert in_base_simplex(x_base)
-        assert g.apply(x_base).coords == x.coords
+    @given(exact_unit_st)
+    def test_random_unit_vectors(self, x):
+        self._assert_matches_reference(x)
 
 
 class TestCloseFace:

@@ -122,6 +122,13 @@ class TestBruteSearch:
             found = brute_ahsp_search(req.quad, req.active, eps, 9)
             assert found is not None
 
+    @pytest.mark.parametrize("eps", [F(-1, 10), F(0), F(1), F(3), 1.5])
+    def test_eps_outside_unit_interval(self, eps):
+        # Even an attaining quadruple, returned before any grid is built.
+        q = gen_quad(GenSpec(l1(2), 0, "constant"))
+        with pytest.raises(DomainError, match=r"eps must lie in \(0, 1\)"):
+            brute_ahsp_search(q, {1, 2, 3, 4}, eps)
+
     def test_size_guard(self):
         q = gen_quad(GenSpec(l1(6), 0, "boundary"))
         with pytest.raises(SizeError):

@@ -1,7 +1,6 @@
 """Quadruples as operators: membership, application, composition, norms,
 shifts."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,6 @@ from bpb4 import (
     DomainError,
     GenSpec,
     Quad,
-    SignedPerm,
     Vec4,
     YVec,
     active_sum_norm,
@@ -33,7 +31,7 @@ from bpb4 import (
     vertex,
 )
 from bpb4.scalars import FLOAT_TOL
-from helpers import rng_for
+from helpers import SIGNED_PERMS, rng_for
 
 F = Fraction
 
@@ -82,12 +80,6 @@ class TestApply:
             lhs = apply(q, x + y)
             rhs = apply(q, x) + apply(q, y)
             assert lhs.coords == rhs.coords
-
-
-#: All 384 signed permutations of the four coordinates.
-SIGNED_PERMS = tuple(SignedPerm(perm, signs)
-                     for perm in itertools.permutations(range(4))
-                     for signs in itertools.product((1, -1), repeat=4))
 
 
 def compose_reference(q, g):

@@ -44,6 +44,12 @@ class TestScalars:
         assert parse_scalar("1/4", "float") == 0.25
         assert isinstance(parse_scalar("1/4", "float"), float)
 
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_are_not_scalars(self, value, backend):
+        with pytest.raises(TypeError, match="booleans are not scalars"):
+            parse_scalar(value, backend)
+
     def test_zero_denominator_is_value_error(self):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_scalar("1/0")
