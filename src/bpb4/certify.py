@@ -64,14 +64,17 @@ def entry_slack(space: SpaceDescriptor, eps: Scalar) -> Scalar:
     """The entry slack eta(eps) of ``correct``, for an eps in (0, 1).
 
     Raises DomainError when eps lies outside (0, 1), and when a float eta is
-    so small that 1 - eta rounds to 1: the rational backend handles that.
+    so small that 1 - eta rounds to 1.  The rational backend handles that on
+    l1 and the reals; on lp eta is a float on every backend, because the
+    modulus of convexity is.
     """
     if not 0 < eps < 1:
         raise DomainError(f"eps must lie in (0, 1): {eps}")
     eta = schedule(space).eta(eps)
     if 1 - eta == 1:
-        raise DomainError(f"eta(eps) = {eta} is below double precision; "
-                          f"use the rational backend")
+        advice = ("lp's modulus of convexity is a float on every backend"
+                  if space.family == "lp" else "use the rational backend")
+        raise DomainError(f"eta(eps) = {eta} is below double precision; {advice}")
     return eta
 
 
@@ -82,7 +85,7 @@ def correct(T: Quad, x0: Vec4, eps: Scalar) -> Certificate:
     with eta from the codomain's constants schedule.  The returned operator
     S has norm one and attains it at the returned point u0, with
     ||u0 - x0|| < 2*eps/3 and ||S - T|| < eps.  A float eta so small that
-    1 - eta rounds to 1 is a DomainError: the rational backend handles it.
+    1 - eta rounds to 1 is a DomainError (see ``entry_slack``).
 
     ``reduce_to_base`` checks ||x0|| = 1.  ``convex_fix`` checks the entry
     inequality: sum alpha_i (T o g)(v_i) is T x0, and nu(eps/3) = eta(eps).

@@ -6,8 +6,8 @@ uniformly convex route (lp, reals) that collapses the active block onto a
 common unit vector; and the l1 route built from positive parts,
 nonnegativity repairs, and first-coordinate padding with explicit rescale
 factors.  A convex-combination front end picks the functional and the active
-set itself, and a dense-lift wrapper handles finitely supported l1 by
-truncating to a finite section.
+set itself, and a dense-lift wrapper runs finitely supported l1 through the
+l1 route on its exact finite section l1^n.
 """
 
 from __future__ import annotations
@@ -41,13 +41,11 @@ class ConstantsSchedule:
     rho is the base slack function (eps/226 for l1; min{delta(eps)/2, eps/6}
     for the uniformly convex families), nu = rho^2 drives the convex
     combination route, gamma(eps) = nu(eps/4) is the definition-level slack,
-    eta(eps) = base_slack(eps/3)^2 is the entry slack of the end-to-end
-    correction, gamma_from_eta(eps) = eta(eps/48) extracts slack from a
-    correction routine, and zeta(eps) = gamma(eps/2) survives dense limits.
-
-    eta equals nu(eps/3) except on finitely supported l1, where the
-    correction runs through the dense lift on zeta(eps/3) and eta(eps) is
-    zeta(eps/3)^2 (below 2^-53 for eps <= 3/10).
+    eta(eps) = nu(eps/3) is the entry slack of the end-to-end correction,
+    gamma_from_eta(eps) = eta(eps/48) extracts slack from a correction
+    routine, and zeta(eps) = gamma(eps/2) is the slack the paper's dense limit
+    for a general L1(mu) would need.  Finitely supported l1 needs no limit:
+    its exact finite section is l1^n, so it shares l1^n's constants.
     """
 
     space: SpaceDescriptor
@@ -66,23 +64,13 @@ class ConstantsSchedule:
         return self.nu(coerce(eps) / 4)
 
     def eta(self, eps: Scalar) -> Scalar:
-        return self.base_slack(coerce(eps) / 3) ** 2
+        return self.nu(coerce(eps) / 3)
 
     def gamma_from_eta(self, eps: Scalar) -> Scalar:
         return self.eta(coerce(eps) / 48)
 
     def zeta(self, eps: Scalar) -> Scalar:
         return self.gamma(coerce(eps) / 2)
-
-    def base_slack(self, eps: Scalar) -> Scalar:
-        """The pairing slack the convex-combination route runs on.
-
-        rho for finite-dimensional families; zeta for finitely supported l1,
-        where corrections go through the dense lift and need its entry slack.
-        """
-        if self.space.family == "l1" and self.space.infinite:
-            return self.zeta(eps)
-        return self.rho(eps)
 
 
 def schedule(space: SpaceDescriptor) -> ConstantsSchedule:
@@ -381,7 +369,7 @@ def convex_fix(q: Quad, alpha, eps: Scalar):
     if (len(alpha) != 4 or not all(a >= -tol for a in alpha)
             or not abs(sum(alpha) - 1) <= tol):
         raise DomainError("alpha must be four convex weights")
-    rho = schedule(q.space).base_slack(eps)
+    rho = schedule(q.space).rho(eps)
     nu = rho * rho
 
     combo = q[0].scale(alpha[0])
@@ -401,36 +389,21 @@ def convex_fix(q: Quad, alpha, eps: Scalar):
 
 
 def dense_lift(request: FixRequest) -> FixResult:
-    """Correction over finitely supported l1 via a finite section.
+    """Correction over finitely supported l1 on its exact finite section.
 
-    Chooses t below a quarter of both eps/2 and the available functional
-    slack over 1 - gamma(eps/2), truncates to the smallest l1^n containing
-    all supports (exact here: the vectors are already finitely supported),
-    shrinks by 1/(1+3t), and corrects inside l1^n at eps/2.  The section is
-    admissible whenever q is, so its request skips FixRequest's checks.
+    Every vector of q lies in the section l1^n, n the widest support, which
+    l1 embeds isometrically: norms, pairings and admissibility are the same
+    there, so l1_fix runs on the section at the same eps (its request skips
+    FixRequest's checks) and its displacements hold for the embedded result.
     """
     q, f, active, eps = request.quad, request.functional, request.active, request.eps
     space = q.space
     if space.family != "l1" or not space.infinite:
         raise UnsupportedSpaceError("dense_lift requires finitely supported l1")
-    g_half = schedule(space).gamma(eps / 2)
-    slack = min(f(q[i - 1]) - 1 + g_half for i in active)
-    if not slack > 0:
-        raise PreconditionError("pairings must exceed 1 - gamma(eps/2) on the active set")
-    t = min(eps / 2, slack) / 8
-
     n = max(1, max(len(y.coords) for y in q.ys))
-    finite = SpaceDescriptor("l1", dim=n)
-    fr = f.restrict(n)
-    shrink = 1 / (1 + 3 * t)
-    ys = tuple(embed(y, finite).scale(shrink) for y in q.ys)
-    inner_q = Quad(ys)
-    for i in active:
-        if not fr(inner_q[i - 1]) > 1 - g_half:
-            raise PreconditionError("truncated pairings lost too much slack")
-    inner = l1_fix(_request(inner_q, fr, active, eps / 2))
-
+    section = SpaceDescriptor("l1", dim=n)
+    inner_q = Quad(tuple(embed(y, section) for y in q.ys))
+    inner = l1_fix(_request(inner_q, f.restrict(n), active, eps))
     lifted = Quad(tuple(embed(z, space) for z in inner.corrected.ys))
-    log = (f"truncate:n={n}", f"shrink:t={t}") + inner.transform_log
-    return FixResult(lifted, inner.certified, _displacements(q, lifted),
-                     inner.label, log)
+    return FixResult(lifted, inner.certified, inner.displacements, inner.label,
+                     (f"truncate:n={n}",) + inner.transform_log)

@@ -5,7 +5,7 @@ backend parses every number as an IEEE double instead.  Vectors over
 finitely supported l1 are written as sparse [index, value] pairs (0-based);
 finite-dimensional vectors are dense arrays.  Field order is fixed so that
 emitted files diff cleanly.  Malformed numbers, such as a non-integer
-index or a negative or repeated sparse index, are ValueErrors.
+index or a negative, repeated or too large sparse index, are ValueErrors.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .quadop import Quad
 from .scalars import parse_scalar, ratio_parts, scalar_to_json
 from .spaces import Functional, SpaceDescriptor, YVec, from_ratios
 
+#: Largest sparse index read; the vector is built dense up to its last index.
+MAX_SPARSE_INDEX = 2 ** 20
 
 def _int(value) -> int:
     """A JSON integer: floats, strings and booleans are malformed here."""
@@ -88,6 +90,8 @@ def yvec_from_json(space: SpaceDescriptor, data, backend: str = "rational") -> Y
         indices = [i for i, _ in pairs]
         if any(i < 0 for i in indices):
             raise ValueError(f"negative sparse index in {data!r}")
+        if any(i > MAX_SPARSE_INDEX for i in indices):
+            raise ValueError(f"sparse index above {MAX_SPARSE_INDEX} in {data!r}")
         if len(set(indices)) != len(indices):
             raise ValueError(f"repeated sparse index in {data!r}")
         data = [v for _, v in pairs]

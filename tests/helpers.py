@@ -96,18 +96,17 @@ def blend(q: Quad, target: Quad, lam) -> Quad:
 
 
 def l1_request(dim: int, k: int, eps: Fraction, seed: int,
-               shift: int = 0, flip_coord: int = None,
-               slack: Fraction = None) -> FixRequest:
+               shift: int = 0, flip_coord: int = None) -> FixRequest:
     """A valid l1 correction request hitting the case with |active| = k.
 
     ``shift`` rotates the active block to start at index 1 + shift (only
     meaningful when the block still fits in 1..4); ``flip_coord`` negates one
-    codomain coordinate, exercising the sign-canonicalization path; ``slack``
-    overrides the pairing slack the active block is blended to (the family's
-    rho by default; dense-lift requests need the much tighter zeta).
+    codomain coordinate, exercising the sign-canonicalization path.  The
+    active block is blended to within rho/8 of the constant quadruple, which
+    also serves dense-lift requests: they run at l1^n's rho.
     """
     space = SpaceDescriptor("l1", dim=dim)
-    rho = schedule(space).rho(eps) if slack is None else slack
+    rho = schedule(space).rho(eps)
     base = gen_quad(GenSpec(space, seed, "boundary"))
     q = blend(base, constant_quad(space, k), 1 - rho / 8)
     signs = [1] * dim

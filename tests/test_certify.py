@@ -1,5 +1,6 @@
 """End-to-end correction, certificate verification, and extraction."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from bpb4 import (
     active_sum_norm,
     apply,
     compose,
+    coords,
     correct,
     extract_ahsp,
     l1,
@@ -22,11 +24,14 @@ from bpb4 import (
     norm,
     op_norm,
     reals,
+    reconstruct,
+    reduce_to_base,
     schedule,
     serial,
     verify_certificate,
     vertex,
 )
+from bpb4.certify import entry_slack
 from bpb4.quadop import diff
 from helpers import rng_for
 
@@ -84,22 +89,56 @@ class TestCorrect:
             correct(T, Vec4((F(1, 2), 0, 0, 0)), F(3, 10))
 
     def test_float_eta_below_double_precision(self):
-        # eta(3/10) on finitely supported l1 is about 9.4e-18, so 1 - eta is
-        # 1.0 in double precision and the entry check could never pass.
-        T, x0 = make_instance(l1(None), F(3, 10), 0, 0)
-        Tf, x0f = serial.instance_from_json(serial.instance_to_json(T, x0), "float")
+        # On lp:10:2, eta(3/10) is about 2.4e-29, so 1 - eta is 1.0 in double
+        # precision and the entry check could never pass.
+        T, x0 = make_instance(lp(10, 2), 0.3, 0, 0)
         with pytest.raises(DomainError, match="below double precision"):
-            correct(Tf, x0f, 0.3)
-        assert verify_certificate(correct(T, x0, F(3, 10))).ok
+            correct(T, x0, 0.3)
+
+    def test_below_double_precision_advice(self):
+        # lp's modulus of convexity is a float on every backend, so the
+        # rational backend refuses the same eps and is not offered.
+        for eps in (F(1, 10), F(3, 10), F(3, 5), 0.3):
+            with pytest.raises(DomainError, match="below double precision") as exc:
+                entry_slack(lp(10, 2), eps)
+            assert "rational backend" not in str(exc.value)
+        # On l1 the rational eta is exact, and there the advice holds.
+        with pytest.raises(DomainError, match="use the rational backend"):
+            entry_slack(l1(2), 1e-6)
+        assert entry_slack(l1(2), F(1, 10**6)) > 0
+
+    @pytest.mark.parametrize("eps", ["1/10", "3/10"])
+    def test_float_finitely_supported_l1(self, eps):
+        # Finitely supported l1 runs at the eta of l1^n (2.2e-8 at eps 1/10),
+        # so the float backend corrects it where it used to refuse.
+        for index in range(6):
+            T, x0 = make_instance(l1(None), F(eps), 0, index)
+            data = json.loads(json.dumps(serial.instance_to_json(T, x0)))
+            Tf, x0f = serial.instance_from_json(data, "float")
+            cert = correct(Tf, x0f, float(F(eps)))
+            text = json.dumps(serial.certificate_to_json(cert, "float"))
+            back = serial.certificate_from_json(json.loads(text), "float")
+            assert verify_certificate(back).ok
 
     def test_point_distance_tracks_inactive_mass(self):
-        # u0 renormalizes the weights over the active set, so the distance is
-        # twice the discarded mass.
+        # u0 renormalizes the weights over the active set.  make_instance puts
+        # x0 on a vertex, where nothing is discarded, so spread t = eta/8 of
+        # the base point's mass over the other three base vertices; the entry
+        # still holds, as ||T x0|| >= 1 - eta/2 - 2t.
         eps = F(3, 10)
-        for seed in range(20):
-            T, x0 = make_instance(l1(2), eps, seed, 0)
-            cert = correct(T, x0, eps)
-            assert cert.residuals["point_distance"] < 2 * eps / 3
+        for space in (l1(2), l1(None)):
+            t = schedule(space).eta(eps) / 8
+            distances = []
+            for seed in range(20):
+                T, x0 = make_instance(space, eps, seed, 0)
+                g, base = reduce_to_base(x0)
+                weights = [1 - t if a == 1 else t / 3 for a in coords(base)]
+                x0 = g.apply(reconstruct(weights, (1, 2, 3, 4)))
+                cert = correct(T, x0, eps)
+                assert verify_certificate(cert).ok
+                distances.append(cert.residuals["point_distance"])
+            assert all(d < 2 * eps / 3 for d in distances)
+            assert any(d > 0 for d in distances), space
 
     @pytest.mark.parametrize("space", [l1(2), l1(None), reals(), lp(2, 3)],
                              ids=["l1", "l1inf", "r", "l2"])

@@ -96,15 +96,31 @@ class TestCorrectAndVerify:
         assert main(["correct", "/nonexistent.json", "--eps", "1/4"]) == 3
 
     def test_float_eta_below_double_precision_is_exit_two(self, tmp_path, capsys):
-        # On finitely supported l1, eta(3/10) is about 9.4e-18: 1 - eta rounds
-        # to 1 in double precision, so only the rational backend can run it.
-        T, x0 = make_instance(l1(None), F(3, 10), 0, 0)
-        path = tmp_path / "inf.json"
+        # On lp:10:2, eta(3/10) is about 2.4e-29: 1 - eta rounds to 1 in
+        # double precision, and lp's eta is a float on the rational backend too.
+        T, x0 = make_instance(lp(10, 2), 0.3, 0, 0)
+        path = tmp_path / "lp.json"
         path.write_text(json.dumps(serial.instance_to_json(T, x0)))
-        assert main(["--backend", "float", "correct", str(path),
-                     "--eps", "3/10"]) == 2
-        assert "below double precision" in capsys.readouterr().err
-        assert main(["correct", str(path), "--eps", "3/10"]) == 0
+        for backend in ("float", "rational"):
+            assert main(["--backend", backend, "correct", str(path),
+                         "--eps", "3/10"]) == 2
+            err = capsys.readouterr().err
+            assert "below double precision" in err
+            assert "rational backend" not in err
+
+    @pytest.mark.parametrize("eps", ["1/10", "3/10"])
+    def test_float_finitely_supported_l1_is_exit_zero(self, eps, tmp_path):
+        # These exited 2 while l1:inf paid for a dense limit in its eta.
+        T, x0 = make_instance(l1(None), F(eps), 0, 0)
+        inst, cert = tmp_path / "inf.json", tmp_path / "cert.json"
+        inst.write_text(json.dumps(serial.instance_to_json(T, x0)))
+        assert main(["--backend", "float", "correct", str(inst),
+                     "--eps", eps, "--out", str(cert)]) == 0
+        assert main(["--backend", "float", "verify", str(cert)]) == 0
+        out = tmp_path / "s.csv"
+        assert main(["--backend", "float", "sweep", "--space", "l1:inf",
+                     "--eps", eps, "--count", "3", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 4
 
 
 class TestNoTracebacks:
@@ -165,14 +181,15 @@ class TestNoTracebacks:
     @pytest.mark.parametrize("space, backend, path, value, code", [
         (l1(None), "rational", ("T", "ys", 1), [[-10, "1/2"]], 3),
         (l1(None), "rational", ("T", "ys", 1), [[0, "1/2"], [0, "1/3"]], 3),
+        (l1(None), "rational", ("T", "ys", 1), [[10**9, "1/2"]], 3),
         (l1(2), "rational", ("T", "ys", 0, 1), float("inf"), 3),
         (lp(2, 3), "float", ("T", "ys", 0, 1), "1e400", 3),  # not a double
         (lp(2, 3), "rational", ("T", "ys", 0, 1), 1e300, 2),  # square overflows
         (lp(2, 3), "rational", ("T", "space", "p"), "1e400", 2),
         (l1(2), "rational", ("T", "ys", 0, 1), True, 3),
         (l1(2), "float", ("x0", 2), False, 3),
-    ], ids=["negative-sparse-index", "repeated-sparse-index", "infinity-literal",
-            "float-beyond-double", "lp-norm-beyond-double",
+    ], ids=["negative-sparse-index", "repeated-sparse-index", "huge-sparse-index",
+            "infinity-literal", "float-beyond-double", "lp-norm-beyond-double",
             "lp-exponent-beyond-double", "true-coordinate", "false-x0-coordinate"])
     def test_bad_number_in_instance(self, space, backend, path, value, code,
                                     tmp_path, capsys):
@@ -217,10 +234,10 @@ class TestSweepCommand:
 
 
     def test_float_eta_below_double_precision_is_exit_two(self, tmp_path, capsys):
-        # As in `correct`: on l1:inf, 1 - eta(3/10) rounds to 1 in double
+        # As in `correct`: on lp:10:2, 1 - eta(3/10) rounds to 1 in double
         # precision, and the sweep says so before generating any instance.
         out = tmp_path / "f.csv"
-        assert main(["--backend", "float", "sweep", "--space", "l1:inf",
+        assert main(["--backend", "float", "sweep", "--space", "lp:10:2",
                      "--eps", "3/10", "--count", "3", "--out", str(out)]) == 2
         assert "below double precision" in capsys.readouterr().err
         assert not out.exists()

@@ -39,7 +39,7 @@ from bpb4 import (
     uniformly_convex_fix,
     unit_first,
 )
-from bpb4.spaces import coordinate_sum, is_nonnegative
+from bpb4.spaces import coordinate_sum, embed, is_nonnegative
 from helpers import (
     assert_fix_postconditions,
     blend,
@@ -77,7 +77,7 @@ class TestSchedule:
 
     @given(eps_st)
     def test_closed_form_relations(self, eps):
-        for space in (l1(4), reals()):
+        for space in (l1(4), l1(None), reals()):
             s = schedule(space)
             assert s.nu(eps) == s.rho(eps) ** 2
             assert s.gamma(eps) == s.nu(eps / 4)
@@ -89,16 +89,26 @@ class TestSchedule:
                 assert 0 < value < eps
 
     def test_dense_lift_slack_only_for_infinite_l1(self):
-        eps = F(1, 3)
-        assert schedule(l1(None)).base_slack(eps) == schedule(l1(2)).zeta(eps)
-        assert schedule(l1(2)).base_slack(eps) == schedule(l1(2)).rho(eps)
+        # Finitely supported l1 shares l1^n's constants: the dense lift asks
+        # for rho slack on the active set, not the far smaller zeta.
+        eps = F(1, 4)
+        inf, fin = schedule(l1(None)), schedule(l1(2))
+        assert inf.rho(eps) == fin.rho(eps)
+        assert inf.zeta(eps) < inf.rho(eps) / 2
+        sp = l1(None)
+        e1 = unit_first(sp)
+        q = Quad((e1, e1.scale(1 - inf.rho(eps) / 2), -e1, -e1))
+        req = FixRequest(q, Functional(sp, "sign-vector", (1,)), {1, 2}, eps)
+        res = dense_lift(req)
+        assert_fix_postconditions(req, res)
+        assert res.transform_log[0] == "truncate:n=1"
 
     def test_eta_is_the_squared_base_slack(self):
         eps = F(3, 10)
         for space in (l1(2), l1(None), reals()):
             s = schedule(space)
-            assert s.eta(eps) == s.base_slack(eps / 3) ** 2
-        assert schedule(l1(None)).eta(eps) == schedule(l1(2)).zeta(eps / 3) ** 2
+            assert s.eta(eps) == s.rho(eps / 3) ** 2
+        assert schedule(l1(None)).eta(eps) == schedule(l1(2)).rho(eps / 3) ** 2
 
 
 class TestSingleton:
@@ -412,8 +422,7 @@ class TestDenseLift:
     def _request(self, seed, k=3):
         sp = l1(None)
         eps = F(1, 4)
-        req = l1_request(dim=3, k=k, eps=eps, seed=seed,
-                         slack=schedule(sp).zeta(eps))
+        req = l1_request(dim=3, k=k, eps=eps, seed=seed)
         q = Quad(tuple(YVec(sp, y.coords) for y in req.quad.ys))
         f = Functional(sp, "sign-vector", req.functional.coords)
         return FixRequest(q, f, req.active, eps)
@@ -426,6 +435,15 @@ class TestDenseLift:
         assert active_sum_norm(res.corrected, res.certified) == len(res.certified)
         assert all(d < req.eps for d in res.displacements)
         assert any(step.startswith("truncate:") for step in res.transform_log)
+        # The lift is l1_fix on the section l1^n, embedded back.
+        n = max(len(y.coords) for y in req.quad.ys)
+        section = SpaceDescriptor("l1", dim=n)
+        inner = l1_fix(FixRequest(Quad(tuple(embed(y, section) for y in req.quad.ys)),
+                                  req.functional.restrict(n), req.active, req.eps))
+        assert res.corrected == Quad(tuple(embed(z, req.quad.space)
+                                           for z in inner.corrected.ys))
+        assert res.displacements == inner.displacements
+        assert res.transform_log == (f"truncate:n={n}",) + inner.transform_log
 
     def test_slack_precondition(self):
         sp = l1(None)

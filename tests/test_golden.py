@@ -6,13 +6,16 @@ correct`` writes them (instance JSON round trip, then ``certificate_to_json``
 rendered with ``json.dumps(..., indent=2)``); the report is the stdout of
 ``bpb4 verify`` on each of them; CSVs are ``sweep`` output.  A change to any
 of these bytes must be deliberate: update the digest and record the reason
-in CHANGES.md.
+in CHANGES.md.  The pinned l1:inf certificates are also accepted by
+``bench/refcheck.py``, a checker that shares no code with the package.
 """
 
 import hashlib
+import importlib.util
 import json
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +35,7 @@ CERTIFICATE_DIGESTS = {  # name: (space, backend, sha256)
     "l1:4": (l1(4), "rational",
         "e8c40fc68889b3ac0811cf5008bd04e3e3ff67ea0661deedd7887eadc8b88935"),
     "l1:inf": (l1(None), "rational",
-        "6bd173d95a1210b6cb711a4e8901287d13318d0a59809c19efe070d5fe6ce292"),
+        "2a41e99fb2ac910402c887285b1d58089bef5d326d783baa6cd68d3f8f6fd008"),
     "lp:2:3": (lp(2, 3), "float",
         "44e210bcf1523c25c53be888ea5f7a5f8f2b3516ccefc6843d3aa0b4ae90e7e6"),
 }
@@ -45,7 +48,7 @@ VERIFY_DIGESTS = {  # name: sha256 of `bpb4 verify` stdout, certificate by certi
     "l1:4":
         "7fe6ab253cf44a310da8489393a77daf544f4104e291e34576b47d3b898b92de",
     "l1:inf":
-        "97e88223c183c0d5901bca1cb400c3317839b757bf7824e75cece7cbe732f6e1",
+        "4ad85badb3d33207f3755352c316c925ab83a9162341ef342a293ca0d400c1bf",
     "lp:2:3":
         "b021dad7f5627e508106eb3308dff865d0750c7273444d7ea9e165b59f83f3df",
 }
@@ -57,7 +60,7 @@ SWEEP_DIGESTS = {  # name: (space, sha256)
     "l1:4": (l1(4),
         "2a3cad10e3c69ac218fe109610d82fc2fdc5fc7545570f1fcaaf1acd92d0ffe3"),
     "l1:inf": (l1(None),
-        "fd5fa6b2d24bffe2e25decce92236568a76f0b2b9e385f66bf842e357643f845"),
+        "e635fdd1b4fbac53489cdcccbf407ad13de9684f80e1020172a93239f8f6d83b"),
     "r": (reals(),
         "31cf693c74a39b3381a3ed8f015c3fece14f969dd8be84000d0fc6ac43fa0154"),
     "lp:2:3": (lp(2, 3),
@@ -110,3 +113,15 @@ def test_sweep_csv_bytes(name):
     space, digest = SWEEP_DIGESTS[name]
     csv_text = sweep(space, EPS, SWEEP_COUNT, seed=0)[1]
     assert _sha(csv_text) == digest
+
+
+def test_finitely_supported_l1_certificates_pass_refcheck():
+    path = Path(__file__).resolve().parent.parent / "bench" / "refcheck.py"
+    spec = importlib.util.spec_from_file_location("refcheck", path)
+    refcheck = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(refcheck)
+    space, backend, _ = CERTIFICATE_DIGESTS["l1:inf"]
+    texts = certificate_texts(space, backend)
+    assert len(texts) == len(EPS) * CASES
+    for text in texts:
+        assert refcheck.check_certificate(json.loads(text)) == []

@@ -261,7 +261,7 @@ class TestSweep:
     @pytest.mark.parametrize("space, eps_list", [
         (l1(2), [F(3, 10), F(0)]),
         (l1(2), [F(1)]),
-        (l1(None), [0.3]),  # a float eta below double precision
+        (lp(10, 2), [0.3]),  # a float eta below double precision
     ])
     def test_rejects_eps_before_generating(self, monkeypatch, space, eps_list):
         import bpb4.harness as hmod

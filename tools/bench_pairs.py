@@ -4,7 +4,7 @@ Usage:
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_9.json \
         --workloads l1-exact,uc-float,brute-search --seeds 101-110 \
-        --seconds 20 --claim l1-exact:verify_ms --title "what changed" \
+        --seconds 20 [--claim l1-exact:verify_ms] --title "what changed" \
         [--trace-workload l1-exact]
 
 For each workload and seed, ``bench/run.py`` runs once in each checkout, one
@@ -17,9 +17,12 @@ metric's bound from the change's ``BENCHMARK.json``.  With
 ``--trace-workload``, one traced run per side (at the first seed, for
 TRACE_SECONDS) adds the per-layer metrics.
 
-The script prints whether the claimed metric improved in at least nine of
-ten pairs and by more than the parent's interquartile spread, and exits 1
-when any run failed an operation or reported ``correct`` false.
+With ``--claim``, the script prints whether the claimed metric improved in
+at least nine of ten pairs and by more than the parent's interquartile
+spread.  For every workload and bounded metric it prints whether the
+change's median is worse than the parent's by more than the bound.  It exits
+1 when any median is, or when any run failed an operation or reported
+``correct`` false.
 """
 
 from __future__ import annotations
@@ -89,6 +92,12 @@ def claim_holds(metric: dict, pairs: int) -> bool:
             and shift > parent["q3"] - parent["q1"])
 
 
+def beyond_bound(metric: dict, better: str) -> bool:
+    """The change's median is worse than the parent's by more than the bound."""
+    worse = metric["median_change"] if better == "lower" else -metric["median_change"]
+    return worse > metric["bound"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -98,7 +107,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seed_range, required=True,
                         help="first-last, inclusive")
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--claim", required=True, help="workload:metric")
+    parser.add_argument("--claim", default="", help="workload:metric")
     parser.add_argument("--title", default="",
                         help="one line on what the change does")
     parser.add_argument("--trace-workload")
@@ -110,6 +119,7 @@ def main(argv=None) -> int:
               for m in spec["end_to_end"] + spec["per_layer"]}
     claim_workload, _, claim_metric = args.claim.partition(":")
     checkouts = {"parent": args.parent, "change": args.change}
+    shown = claim_metric or "correct_ms"  # the metric each progress line prints
 
     report = {
         "change": args.title,
@@ -126,7 +136,8 @@ def main(argv=None) -> int:
                   "change_better_pairs counts the pairs the change won (ties "
                   "count for neither); median_change is change median / "
                   "parent median - 1",
-        "claimed": {"workload": claim_workload, "metric": claim_metric},
+        "claimed": ({"workload": claim_workload, "metric": claim_metric}
+                    if args.claim else None),
         "workloads": {},
     }
     healthy = True
@@ -139,8 +150,8 @@ def main(argv=None) -> int:
                                        args.seconds)
             runs.append(pair)
             print(f"{workload} seed {seed}: " + "  ".join(
-                f"{side} {pair[side]['metrics'][claim_metric]['value']:.4f}"
-                for side in SIDES if claim_metric in pair[side]["metrics"]),
+                f"{side} {pair[side]['metrics'][shown]['value']:.4f}"
+                for side in SIDES if shown in pair[side]["metrics"]),
                 flush=True)
         failed = {side: sum(r[side]["failed"] for r in runs) for side in SIDES}
         correct = all(r[side]["correct"] for r in runs for side in SIDES)
@@ -177,8 +188,18 @@ def main(argv=None) -> int:
               f"/{len(args.seeds)} pairs, median change "
               f"{metric['median_change']:+.1%}: "
               f"{'holds' if claim_holds(metric, len(args.seeds)) else 'does not hold'}")
+    regressed = False
+    for workload, result in report["workloads"].items():
+        for name, metric in result["metrics"].items():
+            if metric["bound"] is None:
+                continue
+            over = beyond_bound(metric, better[name])
+            regressed |= over
+            print(f"{workload} {name}: median change "
+                  f"{metric['median_change']:+.1%}, bound {metric['bound']:.0%}: "
+                  f"{'worse beyond the bound' if over else 'within the bound'}")
     print(f"wrote {args.out}")
-    return 0 if healthy else 1
+    return 0 if healthy and not regressed else 1
 
 
 if __name__ == "__main__":
