@@ -6,17 +6,22 @@ triple sums of those, so the operator norm is the max over eight vectors.
 The admissible set (all eight norms <= 1) is exactly the operator unit ball.
 A signed permutation g of the domain permutes the sixteen sign vectors, so
 T o g has T's eight extreme images again, up to sign (``compose``).
+An exact quadruple over l1, a sup space or the reals is brought to one
+denominator once (``_shared``), and the operator norm, membership,
+application and active sums are integer work on its numerators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Tuple
 
 from .cube import SignedPerm, Vec4, coords
 from .errors import DomainError
-from .scalars import Scalar, tol_of
-from .spaces import SpaceDescriptor, YVec, norm, zero
+from .scalars import Scalar, is_exact, tol_of
+from .spaces import SpaceDescriptor, YVec, _exact, norm, zero
 
 #: The alternating index triples (1-based) whose sums must stay in the ball.
 TRIPLES: Tuple[Tuple[int, int, int], ...] = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
@@ -58,9 +63,51 @@ def _extreme_image(q: Quad, j: int) -> YVec:
     return q[a - 1] - q[b - 1] + q[c - 1]
 
 
-def _extreme_images(q: Quad):
-    """The eight labelled vectors whose norms bound everything."""
-    return [(label, _extreme_image(q, j)) for j, label in enumerate(_LABELS, 1)]
+def _shared(q: Quad):
+    """([a1..a4], D) for an exact quadruple over l1, sup or the reals, else None.
+
+    D is the lcm of the four ``den``s and a_i is y_i's numerators over D,
+    zero-padded to the widest support (finitely supported l1 is ragged).
+    lp norms are floats, so an lp quadruple never takes this form.
+    """
+    if q.space.family == "lp":
+        return None
+    dens = [y.den for y in q.ys]
+    if None in dens:
+        return None
+    D = math.lcm(*dens)
+    width = max(len(y.num) for y in q.ys)
+    a = []
+    for y, d in zip(q.ys, dens):
+        f = D // d
+        num = y.num if f == 1 else tuple(n * f for n in y.num)
+        a.append(num + (0,) * (width - len(num)))
+    return a, D
+
+
+def _int_norm(family: str, num) -> int:
+    """The norm of a numerator tuple, over its denominator."""
+    if family == "l1":
+        return sum(map(abs, num))
+    return max(map(abs, num), default=0)  # sup, and the one coordinate of r
+
+
+def _image_norms(q: Quad):
+    """The eight extreme images' norms in ``_LABELS`` order, and D.
+
+    On a ``_shared`` quadruple the norms are integers over D; otherwise D is
+    None and they are ``norm`` of the images.
+    """
+    shared = _shared(q)
+    if shared is None:
+        return [norm(_extreme_image(q, j)) for j in range(1, 9)], None
+    a, D = shared
+    family = q.space.family
+    norms = [_int_norm(family, v) for v in a]
+    for i, j, k in TRIPLES:
+        norms.append(_int_norm(family, [x - y + z for x, y, z
+                                        in zip(a[i - 1], a[j - 1], a[k - 1])]))
+    return norms, D
 
 
 @dataclass(frozen=True)
@@ -77,22 +124,30 @@ def check_membership(q: Quad, tol=None) -> MembershipReport:
     The default tolerance is ``tol_of`` the eight norms: lp norms are floats
     even when every coordinate is a Fraction.
     """
-    worst_label, worst_norm, norms = None, None, []
-    for label, v in _extreme_images(q):
-        n = norm(v)
-        norms.append(n)
-        if worst_norm is None or n > worst_norm:
-            worst_label, worst_norm = label, n
-    if tol is None:
-        tol = tol_of(*norms)
-    slack = 1 - worst_norm
-    return MembershipReport(member=slack >= -tol, slack=slack, worst=worst_label,
-                            norm=worst_norm)
+    norms, D = _image_norms(q)
+    top = max(norms)  # the first maximal image is the worst
+    worst = _LABELS[norms.index(top)]
+    if D is None:
+        if tol is None:
+            tol = tol_of(*norms)
+        slack = 1 - top
+        return MembershipReport(member=slack >= -tol, slack=slack, worst=worst,
+                                norm=top)
+    slack = Fraction(D - top, D)
+    return MembershipReport(member=top <= D if tol is None else slack >= -tol,
+                            slack=slack, worst=worst, norm=Fraction(top, D))
 
 
 def apply(q: Quad, x: Vec4) -> YVec:
     """Action of the unique linear operator with T(v_i) = y_i."""
     c = coords(x)
+    shared = _shared(q) if is_exact(*c) else None
+    if shared is not None:
+        (a1, a2, a3, a4), D = shared
+        m = math.lcm(*[ci.denominator for ci in c])
+        w1, w2, w3, w4 = [ci.numerator * (m // ci.denominator) for ci in c]
+        return _exact(q.space, tuple(w1 * p + w2 * r + w3 * s + w4 * t
+                                     for p, r, s, t in zip(a1, a2, a3, a4)), D * m)
     out = zero(q.space)
     for ci, yi in zip(c, q.ys):
         out = out + yi.scale(ci)
@@ -117,7 +172,8 @@ def compose(q: Quad, g: SignedPerm) -> Quad:
 
 def op_norm(q: Quad) -> Scalar:
     """Operator norm: the max over the eight extreme-point images."""
-    return max(norm(v) for _, v in _extreme_images(q))
+    norms, D = _image_norms(q)
+    return max(norms) if D is None else Fraction(max(norms), D)
 
 
 def cyclic_shift(q: Quad, r: int) -> Quad:
@@ -140,6 +196,11 @@ def diff(a: Quad, b: Quad) -> Quad:
 
 def active_sum_norm(q: Quad, active) -> Scalar:
     """||sum_{i in active} y_i|| for a 1-based index set."""
+    shared = _shared(q)
+    if shared is not None:
+        a, D = shared
+        total = [sum(col) for col in zip(*[a[i - 1] for i in active])]
+        return Fraction(_int_norm(q.space.family, total), D)
     total = zero(q.space)
     for i in sorted(active):
         total = total + q[i - 1]

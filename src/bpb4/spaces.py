@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import DomainError, UnsupportedSpaceError
-from .scalars import Scalar, coerce, is_exact, tol_of
+from .scalars import Scalar, coerce, is_exact
 
 
 @dataclass(frozen=True)
@@ -428,12 +428,3 @@ def coordinate_sum(y: YVec) -> Scalar:
     if y.den is not None:
         return Fraction(sum(y.num), y.den)
     return sum(y._coords, 0.0)
-
-
-def is_nonnegative(y: YVec, tol=None) -> bool:
-    if y.den is not None and tol is None:
-        return all(n >= 0 for n in y.num)
-    if tol is None:
-        tol = tol_of(*y.coords)
-    floor = -tol
-    return all(c >= floor for c in y.coords)

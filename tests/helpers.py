@@ -28,6 +28,7 @@ from bpb4 import (
     unit_first,
     vertex,
 )
+from bpb4.scalars import tol_of
 
 DENOM = 64
 
@@ -158,6 +159,16 @@ def repair_triple(dim: int, seed: int) -> Tuple[YVec, YVec, YVec, Fraction, Frac
     t = norm(d) / sigma - 1  # == norm(x - y + z) - 1 after the rescaling, exactly
     t = (t if t > 0 else Fraction(0)) + Fraction(rng.randrange(0, DENOM + 1), 4 * DENOM)
     return x, y, z, s, t
+
+
+def is_nonnegative(y: YVec, tol=None) -> bool:
+    """Every coordinate of y is >= -tol (default: ``tol_of`` y's coordinates)."""
+    if y.den is not None and tol is None:
+        return all(n >= 0 for n in y.num)
+    if tol is None:
+        tol = tol_of(*y.coords)
+    floor = -tol
+    return all(c >= floor for c in y.coords)
 
 
 def dual_norm(f: Functional):

@@ -26,9 +26,10 @@ from bpb4 import (
     uniformly_convex_fix,
     verify_certificate,
 )
-from bpb4.spaces import coordinate_sum, is_nonnegative, norm
+from bpb4.spaces import coordinate_sum, norm
 from helpers import (
     base_simplex_point,
+    is_nonnegative,
     l1_request,
     lead_face_point,
     repair_triple,

@@ -107,6 +107,21 @@ class TestCorrect:
             entry_slack(l1(2), 1e-6)
         assert entry_slack(l1(2), F(1, 10**6)) > 0
 
+    # The README's table: on lp:p:2, the eps of (1/10, 3/10, 3/5, 9/10) whose
+    # float eta stays above double precision, the same on both backends.
+    @pytest.mark.parametrize("p, accepted", [
+        (2, 4), (3, 4), (4, 4), (5, 3), (6, 2), (7, 1), (8, 1), (10, 0)])
+    def test_large_lp_exponent_refuses_small_eps(self, p, accepted):
+        grid = (F(1, 10), F(3, 10), F(3, 5), F(9, 10))
+        for kind in (F, float):
+            space = lp(kind(p), 2)
+            for k, eps in enumerate(map(kind, grid)):
+                if k >= len(grid) - accepted:
+                    assert 0 < entry_slack(space, eps) < 1
+                else:
+                    with pytest.raises(DomainError, match="below double precision"):
+                        entry_slack(space, eps)
+
     @pytest.mark.parametrize("eps", ["1/10", "3/10"])
     def test_float_finitely_supported_l1(self, eps):
         # Finitely supported l1 runs at the eta of l1^n (2.2e-8 at eps 1/10),

@@ -39,11 +39,12 @@ from bpb4 import (
     uniformly_convex_fix,
     unit_first,
 )
-from bpb4.spaces import coordinate_sum, embed, is_nonnegative
+from bpb4.spaces import coordinate_sum, embed
 from helpers import (
     assert_fix_postconditions,
     blend,
     constant_quad,
+    is_nonnegative,
     l1_request,
     repair_triple,
     rng_for,

@@ -29,8 +29,11 @@ from bpb4 import (
     sup_space,
     unit_first,
     vertex,
+    zero,
 )
-from bpb4.scalars import FLOAT_TOL
+from bpb4.cube import coords
+from bpb4.quadop import TRIPLES
+from bpb4.scalars import FLOAT_TOL, tol_of
 from helpers import SIGNED_PERMS, rng_for
 
 F = Fraction
@@ -192,3 +195,132 @@ class TestDiffAndActiveSum:
         assert active_sum_norm(q, {1, 2}) == 2
         assert active_sum_norm(q, {1, 2, 3}) == 1
         assert active_sum_norm(q, {1, 2, 4}) == 3
+
+
+# Reference operator quantities by YVec arithmetic, one vector at a time: the
+# integer kernel on shared numerators must give the same values, and float or
+# lp quadruples must still give exactly these.
+
+def images_reference(q):
+    """The eight labelled extreme images, built with YVec + and -."""
+    ys = q.ys
+    out = [(f"y{i}", y) for i, y in enumerate(ys, 1)]
+    for a, b, c in TRIPLES:
+        out.append((f"y{a}-y{b}+y{c}", ys[a - 1] - ys[b - 1] + ys[c - 1]))
+    return out
+
+
+def membership_reference(q):
+    worst, top, norms = None, None, []
+    for label, v in images_reference(q):
+        n = norm(v)
+        norms.append(n)
+        if top is None or n > top:  # the first maximal image is the worst
+            worst, top = label, n
+    slack = 1 - top
+    return slack >= -tol_of(*norms), slack, worst, top
+
+
+def apply_reference(q, x):
+    total = zero(q.space)
+    for c, y in zip(coords(x), q.ys):
+        total = total + y.scale(c)
+    return total
+
+
+def active_sum_reference(q, active):
+    total = zero(q.space)
+    for i in active:
+        total = total + q[i - 1]
+    return norm(total)
+
+
+KERNEL_SPACES = (l1(3), l1(None), sup_space(2), reals())
+
+
+@st.composite
+def exact_quads(draw):
+    """Exact quadruples with unrelated denominators per vector.
+
+    Small draws make zero vectors and tied maxima common; on l1:inf the
+    support widths are ragged, empty included.
+    """
+    space = draw(st.sampled_from(KERNEL_SPACES))
+    small = draw(st.booleans())
+    entry = st.integers(-2, 2) if small else st.integers(-10**9, 10**9)
+    den = st.integers(1, 3) if small else st.integers(1, 10**6)
+    ys = []
+    for _ in range(4):
+        width = draw(st.integers(0, 4)) if space.infinite else space.dim
+        d = draw(den)
+        ys.append(YVec(space, [F(draw(entry), d) for _ in range(width)]))
+    return Quad(ys)
+
+
+points_st = st.builds(Vec4, st.tuples(
+    *[st.fractions(min_value=-1, max_value=1, max_denominator=10**4)] * 4))
+active_st = st.sets(st.integers(min_value=1, max_value=4))
+
+
+class TestSharedDenominatorKernel:
+    @given(exact_quads())
+    @settings(max_examples=300)
+    def test_norm_and_membership_match_reference(self, q):
+        member, slack, worst, top = membership_reference(q)
+        rep = check_membership(q)
+        assert (rep.member, rep.slack, rep.worst, rep.norm) == (member, slack, worst, top)
+        assert op_norm(q) == top == brute_norm(q)
+        assert type(op_norm(q)) is type(rep.slack) is type(rep.norm) is F
+
+    @given(exact_quads(), points_st)
+    @settings(max_examples=300)
+    def test_apply_matches_reference(self, q, x):
+        got, want = apply(q, x), apply_reference(q, x)
+        assert (got.num, got.den) == (want.num, want.den)  # canonical, same width
+        assert got.coords == want.coords
+
+    @given(exact_quads(), active_st)
+    @settings(max_examples=300)
+    def test_active_sum_matches_reference(self, q, active):
+        assert active_sum_norm(q, active) == active_sum_reference(q, active)
+
+    def test_tied_maxima_report_the_first_image(self):
+        e1 = unit_first(sup_space(2))
+        rep = check_membership(Quad((e1.scale(F(1, 2)), e1, e1, e1)))  # four at 1
+        assert (rep.worst, rep.norm) == ("y2", 1)
+        z = zero(l1(None))
+        rep = check_membership(Quad((z, z, z, z)))
+        assert (rep.member, rep.slack, rep.worst, rep.norm) == (True, 1, "y1", 0)
+
+    def test_explicit_tolerance_applies_to_exact_slack(self):
+        q = Quad(tuple(unit_first(l1(2)).scale(F(11, 10)) for _ in range(4)))
+        assert not check_membership(q).member
+        assert check_membership(q, tol=F(1, 10)).member
+        assert not check_membership(q, tol=F(1, 20)).member
+
+    @pytest.mark.parametrize("space", [lp(2, 3), lp(F(7, 2), 2)], ids=str)
+    def test_lp_keeps_the_vector_arithmetic(self, space):
+        rng = rng_for("lp-kernel", space)
+        for seed in range(10):
+            for q in (random_quad(space, seed, "boundary"),
+                      Quad(tuple(YVec(space, [F(rng.randrange(-8, 9), 8)
+                                              for _ in range(space.dim)])
+                                 for _ in range(4)))):
+                rep = check_membership(q)
+                assert (rep.member, rep.slack, rep.worst, rep.norm) == membership_reference(q)
+                assert op_norm(q) == rep.norm
+                x = Vec4(tuple(F(rng.randrange(-8, 9), 8) for _ in range(4)))
+                assert apply(q, x).coords == apply_reference(q, x).coords
+                assert active_sum_norm(q, {1, 3}) == active_sum_reference(q, {1, 3})
+
+    def test_float_quadruple_keeps_the_vector_arithmetic(self):
+        for space in (l1(3), l1(None), sup_space(2), reals()):
+            for seed in range(5):
+                exact = random_quad(space, seed, "boundary")
+                q = Quad(tuple(YVec(space, [float(c) for c in y.coords]) for y in exact.ys))
+                rep = check_membership(q)
+                assert (rep.member, rep.slack, rep.worst, rep.norm) == membership_reference(q)
+                assert op_norm(q) == rep.norm
+                x = Vec4((F(1), F(-1, 3), F(1, 2), F(1, 5)))
+                assert apply(q, x).coords == apply_reference(q, x).coords
+                assert active_sum_norm(q, {1, 2, 4}) == active_sum_reference(q, {1, 2, 4})

@@ -23,8 +23,8 @@ from bpb4 import (
     support_functional,
     unit_first,
 )
-from bpb4.spaces import coordinate_sum, is_nonnegative, positive_part, zero
-from helpers import dual_norm
+from bpb4.spaces import coordinate_sum, positive_part, zero
+from helpers import dual_norm, is_nonnegative
 
 F = Fraction
 
