@@ -56,7 +56,6 @@ from .harness import (
     SweepFailure,
     SweepRow,
     brute_ahsp_search,
-    brute_norm,
     gen_quad,
     make_instance,
     render_csv,

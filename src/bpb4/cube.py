@@ -168,23 +168,20 @@ class SignedPerm:
         return SignedPerm(tuple(perm), tuple(signs))
 
 
-def on_lead_face(x: Vec4, tol=None) -> bool:
+def on_lead_face(x: Vec4) -> bool:
     """Membership in {x : x(1) = 1 = ||x||}; exact for exact inputs."""
-    if tol is None:
-        tol = tol_of(*x.coords)
+    tol = tol_of(*x.coords)
     bound = 1 + tol
     return abs(x[0] - 1) <= tol and all(abs(c) <= bound for c in x.coords)
 
 
-def in_base_simplex(x: Vec4, tol=None) -> bool:
+def in_base_simplex(x: Vec4) -> bool:
     """Membership in co{v1..v4}: on the lead face with nonnegative coordinates."""
-    if tol is None:
-        tol = tol_of(*x.coords)
-    if not on_lead_face(x, tol):
+    if not on_lead_face(x):
         return False
     # coords(x) >= -tol, doubled: halving is exact, so the signs agree.
     a, b, c, d = x.coords
-    floor = -2 * tol
+    floor = -2 * tol_of(a, b, c, d)
     return a + b >= floor and c - b >= floor and d - c >= floor and a - d >= floor
 
 

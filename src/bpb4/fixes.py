@@ -8,6 +8,13 @@ nonnegativity repairs, and first-coordinate padding with explicit rescale
 factors.  A convex-combination front end picks the functional and the active
 set itself, and a dense-lift wrapper runs finitely supported l1 through the
 l1 route on its exact finite section l1^n.
+
+Every route has the shape of the paper's proof.  ``expand_active`` closes
+the active set to an interval of base vertices and checks its pairing
+slack; a cyclic shift brings the interval to start at v1, where the route
+supplies only its correction (its shape); ``_on_interval`` does the shift,
+undoes it, and builds the result: the certified interval, displacements,
+label, and a ``shift:r`` log entry ahead of the route's own.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import FrozenSet, Tuple
 
 from .errors import DomainError, PreconditionError, UnsupportedSpaceError
 from .quadop import Quad, check_membership, cyclic_shift
-from .scalars import Scalar, coerce, tol_of
+from .scalars import FLOAT_TOL, Scalar, coerce, tol_of
 from .spaces import (
     Functional,
     SpaceDescriptor,
@@ -79,13 +86,33 @@ def schedule(space: SpaceDescriptor) -> ConstantsSchedule:
     return ConstantsSchedule(space)
 
 
+def _in_dual_ball(f: Functional) -> bool:
+    """||f|| <= 1 in the dual space, for a dual-coordinate functional.
+
+    The dual norm is max |c| on l1 and the reals, sum |c| on sup, and the
+    conjugate exponent's norm on lp, taken relative to max |c| so that no
+    power overflows.
+    """
+    a = [abs(c) for c in f.coords]
+    family = f.space.family
+    top = sum(a) if family == "sup" else max(a, default=0)
+    if family == "lp" and 0 < top <= 1 + FLOAT_TOL:
+        e = 1 - 1 / float(f.space.p)  # 1/q, q = p/(p-1); 0 leaves max |c|
+        if e:
+            t = float(top)
+            top = t * sum((float(c) / t) ** (1 / e) for c in a) ** e
+    return top <= 1 + tol_of(top)
+
+
 @dataclass(frozen=True)
 class FixRequest:
     """The inputs of one fix, validated once here for every route.
 
-    The active set is a nonempty subset of 1..4, eps lies in (0, 1), and the
-    quadruple is admissible.  Each fix checks only its own route's
-    preconditions on top: family, functional kind, and pairing slack.
+    The active set is a nonempty subset of 1..4, eps lies in (0, 1), a
+    dual-coordinate functional lies in the dual unit ball (a sign vector
+    does by construction), and the quadruple is admissible.  Each fix checks
+    only its own route's preconditions on top: family, functional kind, and
+    pairing slack (in ``expand_active``).
     """
 
     quad: Quad
@@ -100,6 +127,8 @@ class FixRequest:
         eps = coerce(eps)
         if not 0 < eps < 1:
             raise DomainError(f"eps must lie in (0, 1): {eps}")
+        if functional.kind == "dual-coordinates" and not _in_dual_ball(functional):
+            raise DomainError("functional lies outside the dual unit ball")
         report = check_membership(quad)
         if not report.member:
             raise PreconditionError(f"input is not an admissible quadruple "
@@ -134,6 +163,21 @@ def _displacements(original: Quad, corrected: Quad):
     return tuple(norm(z - y) for y, z in zip(original.ys, corrected.ys))
 
 
+def _on_interval(q: Quad, interval: FrozenSet[int], shape) -> FixResult:
+    """Run a route's correction with the interval shifted to start at v1.
+
+    ``shape(qs, k)`` corrects ``qs = cyclic_shift(q, r)``, r = min - 1, on
+    slots 1..k (k the interval's length) and returns (zs, label, log).  The
+    result is shifted back, certifies the interval, and logs ``shift:r``
+    (when r > 0) before the route's own entries.
+    """
+    r = min(interval) - 1
+    zs, label, log = shape(cyclic_shift(q, r), len(interval))
+    corrected = cyclic_shift(Quad(tuple(zs)), (8 - r) % 8)
+    log = ((f"shift:{r}",) if r else ()) + log
+    return FixResult(corrected, interval, _displacements(q, corrected), label, log)
+
+
 def singleton_fix(request: FixRequest) -> FixResult:
     """Fix a one-element active set {j}: normalize y_j, nudge the rest.
 
@@ -146,43 +190,41 @@ def singleton_fix(request: FixRequest) -> FixResult:
     if len(request.active) != 1:
         raise DomainError(f"singleton_fix needs one active index: {set(request.active)}")
     (j,) = request.active
-    if not norm(q[j - 1]) > 1 - eps / 6:
+    size = norm(q[j - 1])
+    if not size > 1 - eps / 6:
         raise PreconditionError(f"||y_{j}|| must exceed 1 - eps/6")
 
-    r = j - 1
-    qs = cyclic_shift(q, r)
-    y1 = qs[0]
-    z1 = y1.scale(1 / norm(y1))
-    a = eps / 3
-    tilts = (eps / 3, eps / 6, -eps / 6)
-    zs = [z1]
-    for yi, ai in zip(qs.ys[1:], tilts):
-        zs.append(yi.scale(1 - a) + z1.scale(ai))
-    corrected = cyclic_shift(Quad(tuple(zs)), (8 - r) % 8)
-    log = (f"shift:{r}",) if r else ()
-    return FixResult(corrected, frozenset({j}), _displacements(q, corrected),
-                     "singleton", log)
+    def shape(qs, k):
+        z1 = qs[0].scale(1 / size)
+        a = eps / 3
+        tilts = (eps / 3, eps / 6, -eps / 6)
+        return ([z1] + [yi.scale(1 - a) + z1.scale(ai)
+                        for yi, ai in zip(qs.ys[1:], tilts)], "singleton", ())
+
+    return _on_interval(q, request.active, shape)
 
 
-def expand_active(q: Quad, f: Functional, active, delta: Scalar) -> FrozenSet[int]:
+def expand_active(q: Quad, f: Functional, active, slack: Scalar) -> FrozenSet[int]:
     """Close an active set to the full index interval [min, max].
 
-    If the pairings at the endpoints exceed 1 - delta, every index in between
-    pairs above 1 - 2*delta; a failure of that check signals violated
-    preconditions on the inputs.
+    Every active index must pair above 1 - slack; then every index in
+    between pairs above 1 - 2*slack, and a failure of that check signals
+    violated preconditions on the inputs.  Each index of the interval is
+    paired once, and an error names its index in q.
     """
     active = frozenset(active)
     if not active or not active <= {1, 2, 3, 4}:
         raise DomainError(f"bad active set: {active}")
-    for i in active:
-        if not f(q[i - 1]) > 1 - delta:
-            raise PreconditionError(f"pairing at index {i} not above 1 - delta")
-    interval = frozenset(range(min(active), max(active) + 1))
+    interval = range(min(active), max(active) + 1)
+    outer, inner = 1 - slack, 1 - 2 * slack
     for i in interval:
-        if not f(q[i - 1]) > 1 - 2 * delta:
+        pairing = f(q[i - 1])
+        if i in active and not pairing > outer:
+            raise PreconditionError(f"pairing at index {i} not above 1 - slack")
+        if not pairing > inner:
             raise PreconditionError(
-                f"inconsistent input: middle pairing at index {i} below 1 - 2*delta")
-    return interval
+                f"inconsistent input: middle pairing at index {i} below 1 - 2*slack")
+    return frozenset(interval)
 
 
 def uniformly_convex_fix(request: FixRequest) -> FixResult:
@@ -193,38 +235,25 @@ def uniformly_convex_fix(request: FixRequest) -> FixResult:
     y1/||y1||; a two-element block additionally shrinks-and-tilts the two
     passive vectors to restore the triple bounds.
     """
-    q, f, eps = request.quad, request.functional, request.eps
-    space = q.space
-    if space.family not in ("lp", "r"):
-        raise UnsupportedSpaceError(f"{space.family} is not uniformly convex")
-    gamma = schedule(space).rho(eps)
-    for i in request.active:
-        if not f(q[i - 1]) > 1 - gamma:
-            raise PreconditionError(f"pairing at index {i} not above 1 - gamma")
-    if len(request.active) == 1:
+    q = request.quad
+    if q.space.family not in ("lp", "r"):
+        raise UnsupportedSpaceError(f"{q.space.family} is not uniformly convex")
+    gamma = schedule(q.space).rho(request.eps)
+    interval = expand_active(q, request.functional, request.active, gamma)
+    if len(interval) == 1:
         return singleton_fix(request)
 
-    r = min(request.active) - 1
-    qs = cyclic_shift(q, r)
-    shifted_active = frozenset(i - r for i in request.active)
-    interval = expand_active(qs, f, shifted_active, gamma)
-    k = max(interval)
+    def shape(qs, k):
+        z1 = qs[0].scale(1 / norm(qs[0]))
+        zs = [z1] * k + list(qs.ys[k:])
+        if k == 2:
+            a = gamma / (1 + gamma)
+            b = gamma / (2 * (1 + gamma))
+            zs[2] = qs[2].scale(1 - a) + z1.scale(b)
+            zs[3] = qs[3].scale(1 - a) - z1.scale(b)
+        return zs, f"uc-{k}", ()
 
-    z1 = qs[0].scale(1 / norm(qs[0]))
-    zs = [z1] * k + list(qs.ys[k:])
-    if k == 2:
-        a = gamma / (1 + gamma)
-        b = gamma / (2 * (1 + gamma))
-        zs[2] = qs[2].scale(1 - a) + z1.scale(b)
-        zs[3] = qs[3].scale(1 - a) - z1.scale(b)
-    elif k == 3:
-        zs[3] = qs[3]
-
-    corrected = cyclic_shift(Quad(tuple(zs)), (8 - r) % 8)
-    certified = frozenset(i + r for i in interval)
-    log = (f"shift:{r}",) if r else ()
-    return FixResult(corrected, certified, _displacements(q, corrected),
-                     f"uc-{k}", log)
+    return _on_interval(q, interval, shape)
 
 
 def repair_nonnegative(x: YVec, y: YVec, z: YVec, s: Scalar, t: Scalar) -> YVec:
@@ -272,7 +301,7 @@ def l1_fix(request: FixRequest) -> FixResult:
     runs two rounds of paired repairs and rescales by 1+96r.  Displacements
     stay below 28r / 114r / 226r = eps respectively, with r = eps/226.
     """
-    q, f, eps = request.quad, request.functional, request.eps
+    q, f = request.quad, request.functional
     space = q.space
     if space.family != "l1":
         raise UnsupportedSpaceError("l1_fix requires an l1 codomain")
@@ -280,67 +309,48 @@ def l1_fix(request: FixRequest) -> FixResult:
         raise UnsupportedSpaceError("use dense_lift for finitely supported l1")
     if f.kind != "sign-vector":
         raise UnsupportedSpaceError("l1_fix requires a sign-vector functional")
-    rho = schedule(space).rho(eps)
-    for i in request.active:
-        if not f(q[i - 1]) > 1 - rho:
-            raise PreconditionError(f"pairing at index {i} not above 1 - rho")
-    if len(request.active) == 1:
+    rho = schedule(space).rho(request.eps)
+    interval = expand_active(q, f, request.active, rho)
+    if len(interval) == 1:
         return singleton_fix(request)
 
-    log = []
-    r = min(request.active) - 1
-    if r:
-        log.append(f"shift:{r}")
-    qs = cyclic_shift(q, r)
     signs = _canonical_signs(f, space.dim)
-    if any(s != 1 for s in signs):
-        log.append("sign-canonicalize")
-    a_vecs = [flip_signs(y, signs) for y in qs.ys]
-
-    max_active = max(i - r for i in request.active)
-    interval = range(1, max_active + 1)
-    for i in interval:
-        if not coordinate_sum(a_vecs[i - 1]) > 1 - 2 * rho:
-            raise PreconditionError(
-                f"inconsistent input: pairing at index {i + r} below 1 - 2*rho")
-    k = max_active
-
+    log = ("sign-canonicalize",) if any(s != 1 for s in signs) else ()
     e1 = unit_first(space)
-    b = [positive_part(a_vecs[i]) if i < k else a_vecs[i] for i in range(4)]
 
-    if k == 2:
-        x = [b[0] + e1.scale(1 - norm(b[0])),
-             b[1] + e1.scale(1 - norm(b[1])),
-             a_vecs[2], a_vecs[3]]
-        inv8 = 1 / (1 + 8 * rho)
-        y = [x[i].scale(inv8) + e1.scale(1 - inv8) if i < 2 else x[i].scale(inv8)
-             for i in range(4)]
-        inv4 = 1 / (1 + 4 * rho)
-        z = [y[i].scale(inv4) + e1.scale(1 - inv4) if i < 3 else y[i].scale(inv4)
-             for i in range(4)]
-    elif k == 3:
-        x1 = repair_nonnegative(b[2], b[1], b[0], 4 * rho, 6 * rho)
-        x = [x1, b[1], b[2], a_vecs[3]]
-        inv36 = 1 / (1 + 36 * rho)
-        y = [x[i].scale(inv36) + e1.scale(1 - norm(x[i]) * inv36) if i < 3
-             else x[i].scale(inv36) for i in range(4)]
-        inv14 = 1 / (1 + 14 * rho)
-        z = [y[i].scale(inv14) + e1.scale(1 - inv14) if i < 3 else y[i].scale(inv14)
-             for i in range(4)]
-    else:
-        x1 = repair_nonnegative(b[2], b[1], b[0], 4 * rho, 6 * rho)
-        x4 = repair_nonnegative(b[0], b[2], b[3], 4 * rho, 6 * rho)
-        y1 = repair_nonnegative(b[3], b[1], x1, 4 * rho, 16 * rho)
-        y4 = repair_nonnegative(b[1], b[2], x4, 4 * rho, 16 * rho)
-        y = [y1, b[1], b[2], y4]
-        inv96 = 1 / (1 + 96 * rho)
-        z = [yi.scale(inv96) + e1.scale(1 - norm(yi) * inv96) for yi in y]
+    def shape(qs, k):
+        a_vecs = [flip_signs(y, signs) for y in qs.ys]
+        b = [positive_part(a_vecs[i]) if i < k else a_vecs[i] for i in range(4)]
+        if k == 2:
+            x = [b[0] + e1.scale(1 - norm(b[0])),
+                 b[1] + e1.scale(1 - norm(b[1])),
+                 a_vecs[2], a_vecs[3]]
+            inv8 = 1 / (1 + 8 * rho)
+            y = [x[i].scale(inv8) + e1.scale(1 - inv8) if i < 2 else x[i].scale(inv8)
+                 for i in range(4)]
+            inv4 = 1 / (1 + 4 * rho)
+            z = [y[i].scale(inv4) + e1.scale(1 - inv4) if i < 3 else y[i].scale(inv4)
+                 for i in range(4)]
+        elif k == 3:
+            x1 = repair_nonnegative(b[2], b[1], b[0], 4 * rho, 6 * rho)
+            x = [x1, b[1], b[2], a_vecs[3]]
+            inv36 = 1 / (1 + 36 * rho)
+            y = [x[i].scale(inv36) + e1.scale(1 - norm(x[i]) * inv36) if i < 3
+                 else x[i].scale(inv36) for i in range(4)]
+            inv14 = 1 / (1 + 14 * rho)
+            z = [y[i].scale(inv14) + e1.scale(1 - inv14) if i < 3 else y[i].scale(inv14)
+                 for i in range(4)]
+        else:
+            x1 = repair_nonnegative(b[2], b[1], b[0], 4 * rho, 6 * rho)
+            x4 = repair_nonnegative(b[0], b[2], b[3], 4 * rho, 6 * rho)
+            y1 = repair_nonnegative(b[3], b[1], x1, 4 * rho, 16 * rho)
+            y4 = repair_nonnegative(b[1], b[2], x4, 4 * rho, 16 * rho)
+            y = [y1, b[1], b[2], y4]
+            inv96 = 1 / (1 + 96 * rho)
+            z = [yi.scale(inv96) + e1.scale(1 - norm(yi) * inv96) for yi in y]
+        return [flip_signs(zi, signs) for zi in z], f"l1-{k}", log
 
-    z = [flip_signs(zi, signs) for zi in z]
-    corrected = cyclic_shift(Quad(tuple(z)), (8 - r) % 8)
-    certified = frozenset(i + r for i in interval)
-    return FixResult(corrected, certified, _displacements(q, corrected),
-                     f"l1-{k}", tuple(log))
+    return _on_interval(q, interval, shape)
 
 
 def dispatch_fix(request: FixRequest) -> FixResult:

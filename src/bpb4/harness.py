@@ -1,11 +1,9 @@
-"""Instance generation, independent oracles, brute-force attainment search,
-and the reproducible experiment sweep.
+"""Instance generation, brute-force attainment search, and the reproducible
+experiment sweep.
 
 The generator is seeded and deterministic: identical GenSpec values produce
 identical quadruples on every platform (the stream is keyed by a string
-derived from seed, space, mode, and instance index).  The brute-force norm
-oracle evaluates the operator on all sixteen hypercube vertices and is kept
-independent of the eight-image formula it checks.
+derived from seed, space, mode, and instance index).
 """
 
 from __future__ import annotations
@@ -20,13 +18,13 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .certify import correct, entry_slack, verify_certificate
-from .cube import SignedPerm, Vec4, coords, vertex
+from .cube import SignedPerm, Vec4, vertex
 from .errors import BPB4Error, DomainError, PreconditionError, SizeError
 from .fixes import schedule
 from .quadop import Quad, active_sum_norm, check_membership, compose, op_norm
 from .scalars import Scalar, coerce, is_exact, scalar_to_json
 from .serial import instance_to_json
-from .spaces import SpaceDescriptor, YVec, norm, unit_first, zero
+from .spaces import SpaceDescriptor, YVec, norm, unit_first
 
 #: Interior-mode quads shrink by this extra factor off the boundary.
 INTERIOR_MARGIN = Fraction(1, 8)
@@ -112,26 +110,6 @@ def gen_quad(spec: GenSpec) -> Quad:
         c = _constant_quad(space)
         q = Quad(tuple(y.scale(1 - lam) + u.scale(lam) for y, u in zip(q.ys, c.ys)))
     return q
-
-
-# Expansion coefficients of the sixteen extreme points of the domain ball
-# (the sign vectors) over the operator's four defining images: -1, 0 or +1.
-_HYPERCUBE_COEFFS = tuple(
-    tuple(int(c) for c in coords(Vec4(signs)))
-    for signs in itertools.product((1, -1), repeat=4)
-)
-
-
-def brute_norm(q: Quad) -> Scalar:
-    """Operator norm by evaluating on all 16 hypercube vertices.
-
-    Independent oracle for the eight-image norm formula.
-    """
-    best = norm(zero(q.space))
-    for coeffs in _HYPERCUBE_COEFFS:
-        terms = [y if c == 1 else -y for c, y in zip(coeffs, q.ys) if c]
-        best = max(best, norm(sum(terms[1:], terms[0])))
-    return best
 
 
 def _axis_grid(center: Scalar, eps: Scalar, resolution: int) -> List[Scalar]:

@@ -118,24 +118,21 @@ class MembershipReport:
     norm: Scalar  # max of the eight checked norms: the operator norm
 
 
-def check_membership(q: Quad, tol=None) -> MembershipReport:
+def check_membership(q: Quad) -> MembershipReport:
     """Are all four vectors and all four alternating triples inside the ball?
 
-    The default tolerance is ``tol_of`` the eight norms: lp norms are floats
-    even when every coordinate is a Fraction.
+    The tolerance is ``tol_of`` the eight norms: lp norms are floats even
+    when every coordinate is a Fraction.
     """
     norms, D = _image_norms(q)
     top = max(norms)  # the first maximal image is the worst
     worst = _LABELS[norms.index(top)]
     if D is None:
-        if tol is None:
-            tol = tol_of(*norms)
         slack = 1 - top
-        return MembershipReport(member=slack >= -tol, slack=slack, worst=worst,
-                                norm=top)
-    slack = Fraction(D - top, D)
-    return MembershipReport(member=top <= D if tol is None else slack >= -tol,
-                            slack=slack, worst=worst, norm=Fraction(top, D))
+        return MembershipReport(member=slack >= -tol_of(*norms), slack=slack,
+                                worst=worst, norm=top)
+    return MembershipReport(member=top <= D, slack=Fraction(D - top, D),
+                            worst=worst, norm=Fraction(top, D))
 
 
 def apply(q: Quad, x: Vec4) -> YVec:

@@ -21,12 +21,14 @@ from bpb4 import (
     Vec4,
     YVec,
     check_membership,
+    coords,
     gen_quad,
     norm,
     schedule,
     support_functional,
     unit_first,
     vertex,
+    zero,
 )
 from bpb4.scalars import tol_of
 
@@ -169,6 +171,26 @@ def is_nonnegative(y: YVec, tol=None) -> bool:
         tol = tol_of(*y.coords)
     floor = -tol
     return all(c >= floor for c in y.coords)
+
+
+# Expansion coefficients of the sixteen extreme points of the domain ball
+# (the sign vectors) over the operator's four defining images: -1, 0 or +1.
+_HYPERCUBE_COEFFS = tuple(
+    tuple(int(c) for c in coords(Vec4(signs)))
+    for signs in itertools.product((1, -1), repeat=4)
+)
+
+
+def brute_norm(q: Quad):
+    """Operator norm by evaluating on all 16 hypercube vertices.
+
+    Independent oracle for the eight-image norm formula.
+    """
+    best = norm(zero(q.space))
+    for coeffs in _HYPERCUBE_COEFFS:
+        terms = [y if c == 1 else -y for c, y in zip(coeffs, q.ys) if c]
+        best = max(best, norm(sum(terms[1:], terms[0])))
+    return best
 
 
 def dual_norm(f: Functional):

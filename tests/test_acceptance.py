@@ -7,7 +7,6 @@ from fractions import Fraction
 from bpb4 import (
     GenSpec,
     active_sum_norm,
-    brute_norm,
     check_membership,
     close_face_correct,
     correct,
@@ -29,6 +28,7 @@ from bpb4 import (
 from bpb4.spaces import coordinate_sum, norm
 from helpers import (
     base_simplex_point,
+    brute_norm,
     is_nonnegative,
     l1_request,
     lead_face_point,

@@ -292,6 +292,21 @@ class TestCheckAhsp:
         assert "admissible" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_functional_outside_dual_ball_is_exit_two(self, tmp_path, capsys,
+                                                       backend):
+        sp = lp(2, 2)
+        z = YVec(sp, (0, 0))
+        q = Quad((YVec(sp, (F(1, 2), 0)), YVec(sp, (0, F(1, 2))), z, z))
+        data = {"quad": serial.quad_to_json(q),
+                "functional": {"kind": "dual-coordinates", "coords": [10.0, 10.0]},
+                "active": [1, 2], "eps": "1/10"}
+        path = tmp_path / "req.json"
+        path.write_text(json.dumps(data))
+        assert main(["--backend", backend, "check-ahsp", str(path)]) == 2
+        assert "dual unit ball" in capsys.readouterr().err
+
+
 class TestBruteSearch:
     def _write(self, tmp_path, ys, active, eps):
         sp = reals()

@@ -44,6 +44,7 @@ from helpers import (
     assert_fix_postconditions,
     blend,
     constant_quad,
+    dual_norm,
     is_nonnegative,
     l1_request,
     repair_triple,
@@ -164,6 +165,15 @@ class TestExpandActive:
         req = l1_request(dim=3, k=3, eps=eps, seed=7)
         delta = schedule(req.quad.space).rho(eps)
         assert expand_active(req.quad, req.functional, {1, 3}, delta) == {1, 2, 3}
+
+    def test_endpoints_need_the_slack_and_the_middle_twice_it(self):
+        e1 = unit_first(l1(2))
+        f = Functional(l1(2), "sign-vector", (1, 1))
+        low = e1.scale(F(17, 20))  # pairs 1 - 3/2 * (1/10)
+        q = Quad((e1, low, e1, low))
+        assert expand_active(q, f, {1, 3}, F(1, 10)) == {1, 2, 3}
+        with pytest.raises(PreconditionError, match=r"index 4\b"):
+            expand_active(q, f, {1, 4}, F(1, 10))
 
     def test_inconsistent_input_raises(self):
         sp = l1(1)
@@ -419,14 +429,17 @@ class TestConvexFix:
             assert r2.corrected == cyclic_shift(r1.corrected, 4)
 
 
+def as_dense(req: FixRequest) -> FixRequest:
+    """An l1^n request restated over finitely supported l1."""
+    sp = l1(None)
+    q = Quad(tuple(YVec(sp, y.coords) for y in req.quad.ys))
+    f = Functional(sp, "sign-vector", req.functional.coords)
+    return FixRequest(q, f, req.active, req.eps)
+
+
 class TestDenseLift:
     def _request(self, seed, k=3):
-        sp = l1(None)
-        eps = F(1, 4)
-        req = l1_request(dim=3, k=k, eps=eps, seed=seed)
-        q = Quad(tuple(YVec(sp, y.coords) for y in req.quad.ys))
-        f = Functional(sp, "sign-vector", req.functional.coords)
-        return FixRequest(q, f, req.active, eps)
+        return as_dense(l1_request(dim=3, k=k, eps=F(1, 4), seed=seed))
 
     def test_agrees_with_finite_fix_up_to_rescale(self):
         req = self._request(3)
@@ -503,6 +516,114 @@ class TestInadmissibleInput:
         req = l1_request(dim=2, k=2, eps=F(1, 4), seed=0)
         with pytest.raises(DomainError):
             singleton_fix(req)
+
+
+def shifted(req: FixRequest, r: int, active=None) -> FixRequest:
+    """req with index i of its quadruple moved to i + r (for i + r <= 4).
+
+    Its active set moves along, unless another one is given.
+    """
+    if active is None:
+        active = {i + r for i in req.active}
+    return FixRequest(cyclic_shift(req.quad, (8 - r) % 8), req.functional,
+                      active, req.eps)
+
+
+# Each route, with a factory of valid requests whose active block is 1..k.
+ROUTES = {
+    "singleton": (singleton_fix, lambda k: l1_request(2, k, F(1, 4), 0)),
+    "l1": (l1_fix, lambda k: l1_request(2, k, F(1, 4), 0)),
+    "l1-signed": (l1_fix, lambda k: l1_request(2, k, F(1, 4), 0, flip_coord=1)),
+    "dense": (dense_lift, lambda k: as_dense(l1_request(2, k, F(1, 4), 0))),
+    "uc-lp": (uniformly_convex_fix, lambda k: uc_request(lp(2, 2), k, 0.4, 0)),
+    "uc-r": (uniformly_convex_fix, lambda k: uc_request(reals(), k, F(2, 5), 0)),
+}
+
+ROUTE_CASES = [(name, r, k) for name in ROUTES for r in range(4)
+               for k in range(1, 5 - r) if name != "singleton" or k == 1]
+
+
+class TestRouteContract:
+    """Every route shifts its interval to start at v1 and back: the log says
+    so first, the certificate covers [min, max] of the active set, and a
+    precondition error names an index of the input quadruple."""
+
+    @pytest.mark.parametrize("name,r,k", ROUTE_CASES)
+    def test_shift_log_and_certified_interval(self, name, r, k):
+        fix, make = ROUTES[name]
+        req = shifted(make(k), r, {r + 1, r + k})  # the endpoints only
+        res = fix(req)
+        log = res.transform_log
+        if name == "dense":
+            assert log[0].startswith("truncate:")
+            log = log[1:]
+        shift = (f"shift:{r}",) if r else ()
+        assert log[:len(shift)] == shift
+        assert not any(step.startswith("shift:") for step in log[len(shift):])
+        assert res.certified == frozenset(range(r + 1, r + k + 1))
+        assert_fix_postconditions(req, res, tol=1e-9 if name == "uc-lp" else 0)
+
+    @pytest.mark.parametrize("name", ROUTES)
+    @pytest.mark.parametrize("r", range(4))
+    def test_low_endpoint_is_named_by_its_input_index(self, name, r):
+        fix, make = ROUTES[name]
+        req = shifted(make(1), r)
+        # Halved, the block's vector norms and pairs near 1/2.
+        half = Quad(tuple(y.scale(F(1, 2)) for y in req.quad.ys))
+        with pytest.raises(PreconditionError, match=rf"(index |y_){r + 1}\b"):
+            fix(FixRequest(half, req.functional, req.active, req.eps))
+        if r < 3 and name != "singleton":
+            # The slot after the block holds about -u and pairs near -1.
+            with pytest.raises(PreconditionError, match=rf"index {r + 2}\b"):
+                fix(shifted(make(1), r, {r + 1, r + 2}))
+
+
+class TestDualBall:
+    """FixRequest refuses a dual-coordinate functional of dual norm above 1."""
+
+    def test_over_norm_lp_functional(self):
+        sp = lp(2, 2)
+        z = YVec(sp, (0, 0))
+        q = Quad((YVec(sp, (F(1, 2), 0)), YVec(sp, (0, F(1, 2))), z, z))
+        f = Functional(sp, "dual-coordinates", (10.0, 10.0))
+        assert dual_norm(f) > 1
+        with pytest.raises(DomainError, match="dual unit ball"):
+            FixRequest(q, f, {1, 2}, F(1, 10))
+
+    @pytest.mark.parametrize("space,coords", [
+        (lp(2, 2), (F(3, 5), F(4, 5))),
+        (lp(2, 2), (F(3, 5), F(81, 100))),
+        (lp(2, 2), (0.6, -0.8)),
+        (lp(3, 2), (1, 0)),
+        (lp(3, 2), (1, F(1, 100))),
+        (lp(F(1001, 1000), 2), (1, F(1, 2))),
+        (lp(F(1001, 1000), 2), (1, 1)),
+        (lp(1001, 2), (F(1, 2), F(1, 2))),
+        (lp(1001, 2), (F(1, 2), F(51, 100))),
+        (reals(), (-1,)),
+        (reals(), (F(11, 10),)),
+        (l1(2), (1, -1)),
+        (l1(2), (F(11, 10), 0)),
+        (sup_space(2), (F(1, 2), -F(1, 2))),
+        (sup_space(2), (F(1, 2), F(3, 5))),
+    ], ids=str)
+    def test_agrees_with_the_dual_norm(self, space, coords):
+        z = YVec(space, (0,) * space.dim)
+        f = Functional(space, "dual-coordinates", coords)
+        inside = dual_norm(f) <= 1 + 1e-9
+        try:
+            FixRequest(Quad((z, z, z, z)), f, {1}, F(1, 4))
+        except DomainError:
+            assert not inside
+        else:
+            assert inside
+
+    def test_huge_coordinate_is_refused_without_overflow(self):
+        sp = lp(3, 2)
+        z = YVec(sp, (0, 0))
+        f = Functional(sp, "dual-coordinates", (F(10) ** 400, 0))
+        with pytest.raises(DomainError, match="dual unit ball"):
+            FixRequest(Quad((z, z, z, z)), f, {1}, F(1, 4))
 
 
 class TestDispatch:

@@ -14,7 +14,6 @@ from bpb4 import (
     YVec,
     active_sum_norm,
     brute_ahsp_search,
-    brute_norm,
     check_membership,
     dispatch_fix,
     gen_quad,
@@ -29,7 +28,7 @@ from bpb4 import (
     unit_first,
 )
 from bpb4.harness import SWEEP_COLUMNS, make_instance
-from helpers import l1_request, uc_request
+from helpers import brute_norm, l1_request, uc_request
 
 F = Fraction
 
