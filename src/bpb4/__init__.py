@@ -16,14 +16,11 @@ from .certify import (
     verify_certificate,
 )
 from .cube import (
-    FACES,
-    FaceDecomposition,
     SignedPerm,
     VERTICES,
     Vec4,
     close_face_correct,
     coords,
-    face_decompose,
     in_base_simplex,
     on_lead_face,
     reconstruct,

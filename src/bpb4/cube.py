@@ -3,12 +3,12 @@
 Everything here lives on the "lead face" {x : x(1) = 1 = ||x||} of the ball.
 Its extreme points are the eight sign vectors with first coordinate +1; the
 first four of them form a basis of R^4 whose biorthogonal coordinates are
-half-sums/half-differences of the input coordinates.  The lead face splits
-into six simplices spanned by those extreme points, and every point of the
-face is carried into the base simplex co{v1..v4} by a permutation of
-coordinates 2..4.  Signed permutations of all four coordinates are the
-sup-norm isometries used to reduce arbitrary unit vectors to the base
-simplex.
+half-sums/half-differences of the input coordinates.  Every point of the
+face is carried into the base simplex co{v1..v4} by the permutation of
+coordinates 2..4 that sorts them.  Signed permutations of all four
+coordinates are the sup-norm isometries; one piece of index work
+(``_to_base``) reduces any unit vector to the base simplex with them, and
+the close-face correction reads u0's active face off the same work.
 """
 
 from __future__ import annotations
@@ -87,16 +87,6 @@ VERTICES: Tuple[Vec4, ...] = (
     Vec4((1, -1, 1, -1)),
 )
 
-#: The six simplicial faces covering the lead face, as 1-based vertex index sets.
-FACES: Dict[int, FrozenSet[int]] = {
-    1: frozenset({1, 2, 3, 4}),
-    2: frozenset({1, 3, 4, 5}),
-    3: frozenset({1, 4, 6, 7}),
-    4: frozenset({1, 2, 4, 8}),
-    5: frozenset({1, 4, 5, 6}),
-    6: frozenset({1, 4, 7, 8}),
-}
-
 #: The vertices as int sign tuples, and the 1-based index of each.
 _SIGNS = tuple(tuple(int(c) for c in v.coords) for v in VERTICES)
 _VERTEX_INDEX = {v: j for j, v in enumerate(_SIGNS, 1)}
@@ -119,7 +109,7 @@ def coords(x: Vec4) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
 
 
 def reconstruct(weights, vertex_indices) -> Vec4:
-    """Sum of weight_j * v_{idx_j}; the inverse of a face decomposition.
+    """Sum of weight_j * v_{idx_j}; over v1..v4 the inverse of ``coords``.
 
     Vertex entries are +-1, so each term is added or subtracted instead of
     multiplied; the sums are the same, term by term, as with the products.
@@ -185,62 +175,28 @@ def in_base_simplex(x: Vec4) -> bool:
     return a + b >= floor and c - b >= floor and d - c >= floor and a - d >= floor
 
 
-@dataclass(frozen=True)
-class FaceDecomposition:
-    """x written as a convex combination over one of the six faces.
-
-    ``vertex_indices[j]`` pairs with ``weights[j]``; ``pullback`` is the
-    coordinate permutation carrying the base simplex onto this face, so that
-    vertex(vertex_indices[j]) == pullback.apply(vertex(j + 1)).
-    """
-
-    face: int
-    vertex_indices: Tuple[int, int, int, int]
-    weights: Tuple[Scalar, Scalar, Scalar, Scalar]
-    pullback: SignedPerm
-
-    @property
-    def active(self) -> FrozenSet[int]:
-        return FACES[self.face]
-
-
-def face_decompose(x: Vec4) -> FaceDecomposition:
-    """Locate the face of the lead face containing x and its barycentric weights.
-
-    Coordinates 2..4 are sorted ascending by a stable permutation; ties leave
-    the original order (the tied weights are zero, so any sorted order would
-    reconstruct the same point).
-    """
-    if not on_lead_face(x):
-        raise DomainError(f"not on the lead face: {x.coords}")
-    return _decompose(x)
-
-
-def _decompose(x: Vec4) -> FaceDecomposition:
-    """face_decompose for a point already known to lie on the lead face."""
-    order = sorted((1, 2, 3), key=lambda j: x[j])  # stable, 0-based slots 2..4
-    forward = SignedPerm((0, *order), (1, 1, 1, 1))
-    sorted_x = forward.apply(x)
-    weights = coords(sorted_x)
-    pullback = forward.inverse()
-    vertex_indices = tuple(pullback.vertex_image(i)[0] for i in (1, 2, 3, 4))
-    face = next(k for k, members in FACES.items() if members == set(vertex_indices))
-    return FaceDecomposition(face, vertex_indices, weights, pullback)
-
-
 def reduce_to_base(x: Vec4) -> Tuple[SignedPerm, Vec4]:
     """Split a unit vector as x = g(x') with g an isometry, x' in co{v1..v4}.
 
-    Index work only: the first index j with |x(j)| = 1 goes to slot 1 and the
-    sign s of x(j) into g; the other indices follow, in the order a swap of
-    slots 1 and j leaves them, sorted stably by s * x as in ``_decompose``.
+    The first index j with |x(j)| = 1 and the sign s of x(j) pick g; the
+    rest is ``_to_base``.
     """
     c = x.coords
     tol = tol_of(*c)
     if abs(x.sup_norm() - 1) > tol:
         raise DomainError(f"not a unit vector: {c}")
     j = next(i for i in range(4) if abs(abs(c[i]) - 1) <= tol)
-    s = -1 if c[j] < 0 else 1
+    return _to_base(c, j, -1 if c[j] < 0 else 1)
+
+
+def _to_base(c, j: int, s: int) -> Tuple[SignedPerm, Vec4]:
+    """(g, g^-1 x) for the coordinates c of x, with |x(j)| = 1 of sign s.
+
+    Index work only: j goes to slot 1 and s into g; the other indices
+    follow, in the order a swap of slots 1 and j leaves them, sorted stably
+    by s * x.  On the lead face (j = 0, s = +1) g is the permutation of
+    coordinates 2..4 that sorts them ascending.
+    """
     # Ascending in -x is descending in x; a reversed sort keeps ties stable.
     order = (j, *sorted((0 if k == j else k for k in (1, 2, 3)),
                         key=c.__getitem__, reverse=s < 0))
@@ -266,7 +222,8 @@ def close_face_correct(x0: Vec4, u0: Vec4, eps: Scalar) -> CloseFaceResult:
     """Move u0 (within eps of a base-simplex point x0) into co{v1..v4}.
 
     The corrected point stays within 3*eps of u0 and reuses only vertices
-    that already carry positive weight in u0's own face decomposition.
+    that already carry positive weight when u0 is written over its active
+    face, the images of v1..v4 under the permutation sorting u0(2..4).
     """
     eps = coerce(eps)
     if not 0 < eps < Fraction(1, 2):
@@ -278,20 +235,23 @@ def close_face_correct(x0: Vec4, u0: Vec4, eps: Scalar) -> CloseFaceResult:
     if not (u0 - x0).sup_norm() < eps:
         raise DomainError("u0 is not within eps of x0")
 
-    fd = _decompose(u0)
-    beta = {idx: w for idx, w in zip(fd.vertex_indices, fd.weights)}
+    # u0(1) is the unit coordinate, so u0 = g(u0') with u0' in co{v1..v4}:
+    # u0 is a convex combination of the vertices g(v1..v4), its active face.
+    g, sorted_u0 = _to_base(u0.coords, 0, 1)
+    weights = coords(sorted_u0)
+    beta = {g.vertex_image(i)[0]: w for i, w in zip((1, 2, 3, 4), weights)}
+    active = frozenset(beta)
     support = {idx for idx, w in beta.items() if w > 0}
     base = frozenset(range(1, 5))
+    inside = active & base
     if support <= base:
         # u0 already lies in co{v1..v4}; keep it.
-        gamma = {i: beta.get(i, 0) for i in fd.active & base}
-        return CloseFaceResult(u0, fd.active, beta, gamma)
+        return CloseFaceResult(u0, active, beta, {i: beta[i] for i in inside})
 
-    inside = fd.active & base
-    mass = sum(beta.get(i, 0) for i in inside)
+    mass = sum(beta[i] for i in inside)
     # Guaranteed > 1 - eps > 1/2 by the face-functional bound.
     if mass <= 0:
         raise DomainError("degenerate decomposition: no base-vertex mass")
-    gamma = {i: beta.get(i, 0) / mass for i in inside}
+    gamma = {i: beta[i] / mass for i in inside}
     corrected = reconstruct(gamma.values(), gamma.keys())
-    return CloseFaceResult(corrected, fd.active, beta, gamma)
+    return CloseFaceResult(corrected, active, beta, gamma)

@@ -6,8 +6,8 @@ uniformly convex route (lp, reals) that collapses the active block onto a
 common unit vector; and the l1 route built from positive parts,
 nonnegativity repairs, and first-coordinate padding with explicit rescale
 factors.  A convex-combination front end picks the functional and the active
-set itself, and a dense-lift wrapper runs finitely supported l1 through the
-l1 route on its exact finite section l1^n.
+set itself.  Finitely supported l1 takes the l1 route on its ragged vectors,
+which lie in the exact finite section l1^n; the dense-lift wrapper logs n.
 
 Every route has the shape of the paper's proof.  ``expand_active`` closes
 the active set to an interval of base vertices and checks its pairing
@@ -19,7 +19,7 @@ label, and a ``shift:r`` log entry ahead of the route's own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import FrozenSet, Tuple
 
@@ -31,7 +31,6 @@ from .spaces import (
     SpaceDescriptor,
     YVec,
     coordinate_sum,
-    embed,
     flip_signs,
     modulus_convexity,
     norm,
@@ -137,17 +136,6 @@ class FixRequest:
         object.__setattr__(self, "functional", functional)
         object.__setattr__(self, "active", active)
         object.__setattr__(self, "eps", eps)
-
-
-def _request(quad: Quad, functional: Functional, active: FrozenSet[int],
-             eps: Scalar) -> FixRequest:
-    """Wrap inputs already known to satisfy FixRequest's checks, unchecked."""
-    r = object.__new__(FixRequest)
-    object.__setattr__(r, "quad", quad)
-    object.__setattr__(r, "functional", functional)
-    object.__setattr__(r, "active", active)
-    object.__setattr__(r, "eps", eps)
-    return r
 
 
 @dataclass(frozen=True)
@@ -290,8 +278,13 @@ def _canonical_signs(f: Functional, width: int) -> Tuple[int, ...]:
     return signs + (1,) * (width - len(signs))
 
 
+def _widest(q: Quad) -> int:
+    """The widest support in a quadruple over finitely supported l1 (at least 1)."""
+    return max(1, *(len(y.coords if y.den is None else y.num) for y in q.ys))
+
+
 def l1_fix(request: FixRequest) -> FixResult:
-    """Correction over l1^n with a sign-vector functional.
+    """Correction over l1^n or finitely supported l1 with a sign vector.
 
     After moving the active minimum to slot 1 and flipping coordinates so
     the functional becomes summation, the active interval is corrected in
@@ -300,13 +293,15 @@ def l1_fix(request: FixRequest) -> FixResult:
     nonnegativity repair and rescale by (1+36r)(1+14r); the full interval
     runs two rounds of paired repairs and rescales by 1+96r.  Displacements
     stay below 28r / 114r / 226r = eps respectively, with r = eps/226.
+
+    On finitely supported l1 the sign vector is read to the widest support
+    n (unset entries +1) and the ragged vectors are used as they are: the
+    result is l1_fix on the section l1^n without its trailing zeros.
     """
     q, f = request.quad, request.functional
     space = q.space
     if space.family != "l1":
         raise UnsupportedSpaceError("l1_fix requires an l1 codomain")
-    if space.infinite:
-        raise UnsupportedSpaceError("use dense_lift for finitely supported l1")
     if f.kind != "sign-vector":
         raise UnsupportedSpaceError("l1_fix requires a sign-vector functional")
     rho = schedule(space).rho(request.eps)
@@ -314,7 +309,7 @@ def l1_fix(request: FixRequest) -> FixResult:
     if len(interval) == 1:
         return singleton_fix(request)
 
-    signs = _canonical_signs(f, space.dim)
+    signs = _canonical_signs(f, _widest(q) if space.infinite else space.dim)
     log = ("sign-canonicalize",) if any(s != 1 for s in signs) else ()
     e1 = unit_first(space)
 
@@ -403,17 +398,12 @@ def dense_lift(request: FixRequest) -> FixResult:
 
     Every vector of q lies in the section l1^n, n the widest support, which
     l1 embeds isometrically: norms, pairings and admissibility are the same
-    there, so l1_fix runs on the section at the same eps (its request skips
-    FixRequest's checks) and its displacements hold for the embedded result.
+    there, so l1^n's fix and constants serve.  That fix is ``l1_fix`` on the
+    ragged vectors themselves; the log names the section first.
     """
-    q, f, active, eps = request.quad, request.functional, request.active, request.eps
-    space = q.space
-    if space.family != "l1" or not space.infinite:
+    q = request.quad
+    if q.space.family != "l1" or not q.space.infinite:
         raise UnsupportedSpaceError("dense_lift requires finitely supported l1")
-    n = max(1, max(len(y.coords) for y in q.ys))
-    section = SpaceDescriptor("l1", dim=n)
-    inner_q = Quad(tuple(embed(y, section) for y in q.ys))
-    inner = l1_fix(_request(inner_q, f.restrict(n), active, eps))
-    lifted = Quad(tuple(embed(z, space) for z in inner.corrected.ys))
-    return FixResult(lifted, inner.certified, inner.displacements, inner.label,
-                     (f"truncate:n={n}",) + inner.transform_log)
+    inner = l1_fix(request)
+    return replace(inner, transform_log=(f"truncate:n={_widest(q)}",)
+                   + inner.transform_log)

@@ -112,10 +112,8 @@ def gen_quad(spec: GenSpec) -> Quad:
     return q
 
 
-def _axis_grid(center: Scalar, eps: Scalar, resolution: int) -> List[Scalar]:
-    """Rational grid on [center-eps, center+eps] clipped to [-1, 1]."""
-    lo = max(coerce(center) - eps, Fraction(-1))
-    hi = min(coerce(center) + eps, Fraction(1))
+def _axis_grid(lo: Scalar, hi: Scalar, resolution: int) -> List[Scalar]:
+    """Grid of resolution points from lo to hi; lo alone when lo == hi."""
     if resolution == 1 or lo == hi:
         return [lo]
     step = (hi - lo) / (resolution - 1)
@@ -141,9 +139,11 @@ def brute_ahsp_search(q: Quad, active, eps: Scalar,
     Float input keeps the unfiltered lists, because rounding breaks that
     implication (1 + (1 - 2**-53) rounds to 2.0).
 
-    Raises DomainError unless 0 < eps < 1, and SizeError when one index's
-    grid, or the product of the candidate lists built so far (after the
-    norm-one filter), exceeds SEARCH_BUDGET, checked as each list is built.
+    Raises DomainError unless 0 < eps < 1 and resolution >= 1, and SizeError
+    when one index's grid, or the product of the candidate lists built so
+    far (after the norm-one filter), exceeds SEARCH_BUDGET.  An index's grid
+    size is counted from its axis bounds (resolution points per axis, or 1
+    where lo == hi) before any of its points is built.
     Returns None as soon as some index has no candidate, which can happen
     before the product grows too large: the near-face l1:4 quadruple of
     ``GenSpec(l1(4), 0, "near-face", 1/10)`` with C = {1, 2, 3, 4} at
@@ -157,6 +157,8 @@ def brute_ahsp_search(q: Quad, active, eps: Scalar,
     eps = coerce(eps)
     if not 0 < eps < 1:
         raise DomainError(f"eps must lie in (0, 1): {eps}")
+    if resolution < 1:
+        raise DomainError(f"grid resolution must be at least 1: {resolution}")
     active = sorted(frozenset(active))
     if not active or not set(active) <= {1, 2, 3, 4}:
         raise DomainError(f"bad active set: {active}")
@@ -170,12 +172,15 @@ def brute_ahsp_search(q: Quad, active, eps: Scalar,
     total = 1
     for i in (1, 2, 3, 4):
         yi = q[i - 1]
-        axes = [_axis_grid(c, eps, resolution) for c in yi.coords]
+        # Each axis is [c - eps, c + eps] clipped to [-1, 1].
+        bounds = [(max(c - eps, Fraction(-1)), min(c + eps, Fraction(1)))
+                  for c in yi.coords]
         grid = 1
-        for a in axes:
-            grid *= len(a)
+        for lo, hi in bounds:
+            grid *= 1 if lo == hi else resolution
         if grid > SEARCH_BUDGET:
             raise SizeError(f"per-index grid too large: {grid}")
+        axes = [_axis_grid(lo, hi, resolution) for lo, hi in bounds]
         on_sphere = exact and i in active
         cands = []
         for point in itertools.product(*axes):

@@ -338,13 +338,6 @@ class Functional:
         a, b = _aligned(coords, y.coords)
         return sum(f * c for f, c in zip(a, b))
 
-    def restrict(self, dim: int) -> "Functional":
-        coords = self.coords[:dim]
-        if self.kind == "sign-vector" and len(coords) < dim:
-            coords = coords + (1,) * (dim - len(coords))
-        return Functional(SpaceDescriptor(self.space.family, self.space.p, dim),
-                          self.kind, coords)
-
 
 def support_functional(y: YVec) -> Functional:
     """A norm-one functional attaining the norm of y.
@@ -412,15 +405,6 @@ def flip_signs(y: YVec, signs) -> YVec:
         return _exact_reduced(y.space, tuple(n if s > 0 else -n
                                              for s, n in zip(signs, y.num)), y.den)
     return YVec(y.space, tuple(s * c for s, c in zip(signs, y._coords)))
-
-
-def embed(y: YVec, space: SpaceDescriptor) -> YVec:
-    """y in another l1 space at least as wide, zero-padded to its dimension."""
-    if y.den is not None:
-        pad = 0 if space.infinite else space.dim - len(y.num)
-        return _exact_reduced(space, y.num + (0,) * pad, y.den)
-    pad = 0 if space.infinite else space.dim - len(y._coords)
-    return YVec(space, y._coords + (_ZERO,) * pad)
 
 
 def coordinate_sum(y: YVec) -> Scalar:

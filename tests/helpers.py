@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from bpb4 import (
+    DomainError,
     FixRequest,
     Functional,
     GenSpec,
@@ -24,6 +26,7 @@ from bpb4 import (
     coords,
     gen_quad,
     norm,
+    on_lead_face,
     schedule,
     support_functional,
     unit_first,
@@ -68,6 +71,54 @@ def compose_perms(g: SignedPerm, h: SignedPerm) -> SignedPerm:
     perm = tuple(h.perm[g.perm[i]] for i in range(4))
     signs = tuple(g.signs[i] * h.signs[g.perm[i]] for i in range(4))
     return SignedPerm(perm, signs)
+
+
+#: The six simplicial faces covering the lead face, as 1-based vertex index sets.
+FACES: Dict[int, FrozenSet[int]] = {
+    1: frozenset({1, 2, 3, 4}),
+    2: frozenset({1, 3, 4, 5}),
+    3: frozenset({1, 4, 6, 7}),
+    4: frozenset({1, 2, 4, 8}),
+    5: frozenset({1, 4, 5, 6}),
+    6: frozenset({1, 4, 7, 8}),
+}
+
+
+@dataclass(frozen=True)
+class FaceDecomposition:
+    """x written as a convex combination over one of the six faces.
+
+    ``vertex_indices[j]`` pairs with ``weights[j]``; ``pullback`` is the
+    coordinate permutation carrying the base simplex onto this face, so that
+    vertex(vertex_indices[j]) == pullback.apply(vertex(j + 1)).
+    """
+
+    face: int
+    vertex_indices: Tuple[int, int, int, int]
+    weights: Tuple
+    pullback: SignedPerm
+
+    @property
+    def active(self) -> FrozenSet[int]:
+        return FACES[self.face]
+
+
+def face_decompose(x: Vec4) -> FaceDecomposition:
+    """Locate the face of the lead face containing x and its barycentric weights.
+
+    The reference for the library's index work: coordinates 2..4 are sorted
+    ascending by a stable permutation, the sorted point's coordinates are
+    the weights, and the face is looked up in ``FACES``.
+    """
+    if not on_lead_face(x):
+        raise DomainError(f"not on the lead face: {x.coords}")
+    order = sorted((1, 2, 3), key=lambda j: x[j])  # stable, 0-based slots 2..4
+    forward = SignedPerm((0, *order), (1, 1, 1, 1))
+    weights = coords(forward.apply(x))
+    pullback = forward.inverse()
+    vertex_indices = tuple(pullback.vertex_image(i)[0] for i in (1, 2, 3, 4))
+    face = next(k for k, members in FACES.items() if members == set(vertex_indices))
+    return FaceDecomposition(face, vertex_indices, weights, pullback)
 
 
 def lead_face_point(rng: random.Random) -> Vec4:

@@ -339,6 +339,14 @@ class TestBruteSearch:
         assert captured.err.startswith("error: eps must lie in (0, 1)")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_nonpositive_grid_is_exit_two(self, grid, tmp_path, capsys):
+        path = self._write(tmp_path, (1 - F(1, 1000), 1, -1, -1), {1, 2}, "1/10")
+        assert main(["brute-search", path, "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: grid resolution must be at least 1")
+        assert captured.out == ""
+
     def test_inconclusive_is_exit_one(self, tmp_path, capsys):
         path = self._write(tmp_path, (F(1, 2), F(1, 3), F(-1, 2), F(-1, 2)),
                            {1, 2}, "1/100")

@@ -9,23 +9,23 @@ from hypothesis import strategies as st
 
 from bpb4 import (
     DomainError,
-    FACES,
     SignedPerm,
     Vec4,
     close_face_correct,
     coords,
-    face_decompose,
     in_base_simplex,
     on_lead_face,
     reconstruct,
     reduce_to_base,
     vertex,
 )
-from bpb4.scalars import tol_of
+from bpb4.scalars import FLOAT_TOL, tol_of
 from helpers import (
+    FACES,
     SIGNED_PERMS,
     base_simplex_point,
     compose_perms,
+    face_decompose,
     lead_face_point,
     rand_vec4,
     rng_for,
@@ -266,6 +266,67 @@ class TestCloseFace:
         for i, gm in res.gamma.items():
             if gm > 0:
                 assert res.beta[i] > 0
+
+
+def close_face_reference(u0):
+    """close_face_correct's (corrected, active, beta, gamma) as the face
+    decomposition gave them: beta over the face's vertices in decomposition
+    order, gamma its base-vertex part renormalised."""
+    fd = face_decompose(u0)
+    beta = dict(zip(fd.vertex_indices, fd.weights))
+    base = frozenset(range(1, 5))
+    inside = fd.active & base
+    if {i for i, w in beta.items() if w > 0} <= base:
+        return u0, fd.active, beta, {i: beta[i] for i in inside}
+    mass = sum(beta[i] for i in inside)
+    gamma = {i: beta[i] / mass for i in inside}
+    return reconstruct(gamma.values(), gamma.keys()), fd.active, beta, gamma
+
+
+def _weights(cuts):
+    a, b, c = (F(x, 64) for x in cuts)
+    return a, b - a, c - b, 1 - c
+
+
+def _near(x0, lead, offsets):
+    """A lead-face point with u(1) = lead and u(k) = x0(k) + offset, clipped."""
+    return Vec4((lead,) + tuple(max(-1, min(1, x0[k] + d))
+                                for k, d in zip((1, 2, 3), offsets)))
+
+
+_cut_st = st.integers(0, 64)
+# (x0, eps, offsets): x0 a base-simplex point with weights in 1/64ths, eps in
+# (0, 1/2), and each offset of u0(2..4) from x0 strictly inside (-eps, eps).
+close_face_st = st.builds(
+    lambda cuts, k, offsets: (
+        reconstruct(_weights(sorted(cuts)), (1, 2, 3, 4)), F(k, 64),
+        tuple(F(k, 64) * t for t in offsets)),
+    st.lists(_cut_st, min_size=3, max_size=3), st.integers(1, 31),
+    st.lists(st.fractions(min_value=F(-63, 64), max_value=F(63, 64),
+                          max_denominator=64), min_size=3, max_size=3))
+
+
+class TestCloseFaceAgainstReference:
+    @staticmethod
+    def _assert_matches_reference(x0, u0, eps):
+        res = close_face_correct(x0, u0, eps)
+        corrected, active, beta, gamma = close_face_reference(u0)
+        assert res.corrected.coords == corrected.coords
+        assert res.active == active
+        assert list(res.beta.items()) == list(beta.items())
+        assert list(res.gamma.items()) == list(gamma.items())
+
+    @given(close_face_st)
+    def test_exact_lead_face_points(self, case):
+        x0, eps, offsets = case
+        self._assert_matches_reference(x0, _near(x0, F(1), offsets), eps)
+
+    @given(close_face_st, st.sampled_from((1.0, 1 - FLOAT_TOL)))
+    def test_float_points_off_the_unit_lead(self, case, lead):
+        x0, eps, offsets = case
+        x0 = Vec4(tuple(float(c) for c in x0.coords))
+        u0 = _near(x0, lead, tuple(float(d) for d in offsets))
+        self._assert_matches_reference(x0, u0, eps)
 
 
 class TestLeadFaceMembership:

@@ -15,7 +15,6 @@ from bpb4 import (
     GenSpec,
     PreconditionError,
     Quad,
-    SpaceDescriptor,
     UnsupportedSpaceError,
     YVec,
     active_sum_norm,
@@ -39,7 +38,7 @@ from bpb4 import (
     uniformly_convex_fix,
     unit_first,
 )
-from bpb4.spaces import coordinate_sum, embed
+from bpb4.spaces import coordinate_sum
 from helpers import (
     assert_fix_postconditions,
     blend,
@@ -437,6 +436,62 @@ def as_dense(req: FixRequest) -> FixRequest:
     return FixRequest(q, f, req.active, req.eps)
 
 
+def on_section(req: FixRequest, n: int) -> FixRequest:
+    """A finitely supported l1 request restated over l1^n, zero-padded."""
+    sp = l1(n)
+    zero = 0 if req.quad.is_exact() else 0.0
+    pad = lambda c, fill: tuple(c) + (fill,) * (n - len(c))
+    q = Quad(tuple(YVec(sp, pad(y.coords, zero)) for y in req.quad.ys))
+    f = Functional(sp, "sign-vector", pad(req.functional.coords, 1))
+    return FixRequest(q, f, req.active, req.eps)
+
+
+def ragged(req: FixRequest, exact: bool, short_signs: bool) -> FixRequest:
+    """An l1^2 request over finitely supported l1 with a third coordinate
+    on y1 alone: y1 becomes ((1 - d) y1, d) and the rest (1 - d) y_i, with
+    d = rho/8.  l1 norms add over the split, so admissibility holds, and
+    the pairings move by at most d.  With ``short_signs`` the sign vector
+    stops after its first entry (the rest read as +1)."""
+    sp = l1(None)
+    d = schedule(sp).rho(req.eps) / 8
+    ys = [y.scale(1 - d).coords for y in req.quad.ys]
+    ys[0] += (d,)
+    cast = (lambda c: c) if exact else float
+    q = Quad(tuple(YVec(sp, tuple(map(cast, y))) for y in ys))
+    signs = req.functional.coords[:1] if short_signs else req.functional.coords
+    eps = req.eps if exact else float(req.eps)
+    return FixRequest(q, Functional(sp, "sign-vector", signs), req.active, eps)
+
+
+class TestL1FixOnFinitelySupported:
+    """l1_fix corrects ragged l1:inf vectors in place: the result is its
+    result on the section l1^n without trailing zeros, and dense_lift is
+    l1_fix with the section's width logged first."""
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_ragged_vectors(self, k, exact):
+        for seed in range(4):
+            base = l1_request(dim=2, k=k, eps=F(1, 4), seed=seed,
+                              flip_coord=None if seed % 2 else 1)
+            req = ragged(base, exact, short_signs=seed % 2 == 1)
+            assert max(len(y.coords) for y in req.quad.ys) == 3
+            assert len(req.functional.coords) < 3
+            res = l1_fix(req)
+            lifted = dense_lift(req)
+            assert lifted.transform_log[0] == "truncate:n=3"
+            assert (res.corrected, res.certified, res.displacements, res.label,
+                    res.transform_log) == (lifted.corrected, lifted.certified,
+                                           lifted.displacements, lifted.label,
+                                           lifted.transform_log[1:])
+            assert_fix_postconditions(req, res, tol=0 if exact else 1e-9)
+            inner = l1_fix(on_section(req, 3))
+            assert res.corrected == Quad(tuple(YVec(l1(None), z.coords)
+                                               for z in inner.corrected.ys))
+            assert res.displacements == inner.displacements
+            assert res.transform_log == inner.transform_log
+
+
 class TestDenseLift:
     def _request(self, seed, k=3):
         return as_dense(l1_request(dim=3, k=k, eps=F(1, 4), seed=seed))
@@ -449,12 +504,10 @@ class TestDenseLift:
         assert active_sum_norm(res.corrected, res.certified) == len(res.certified)
         assert all(d < req.eps for d in res.displacements)
         assert any(step.startswith("truncate:") for step in res.transform_log)
-        # The lift is l1_fix on the section l1^n, embedded back.
+        # The lift is l1_fix on the section l1^n, read back over l1:inf.
         n = max(len(y.coords) for y in req.quad.ys)
-        section = SpaceDescriptor("l1", dim=n)
-        inner = l1_fix(FixRequest(Quad(tuple(embed(y, section) for y in req.quad.ys)),
-                                  req.functional.restrict(n), req.active, req.eps))
-        assert res.corrected == Quad(tuple(embed(z, req.quad.space)
+        inner = l1_fix(on_section(req, n))
+        assert res.corrected == Quad(tuple(YVec(req.quad.space, z.coords)
                                            for z in inner.corrected.ys))
         assert res.displacements == inner.displacements
         assert res.transform_log == (f"truncate:n={n}",) + inner.transform_log

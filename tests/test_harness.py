@@ -148,6 +148,25 @@ class TestBruteSearch:
         assert len(built) == 2
 
 
+    def test_over_budget_grid_is_refused_before_any_axis_is_built(self, monkeypatch):
+        import bpb4.harness as hmod
+
+        def unbuilt(*args):
+            raise AssertionError("an axis was built")
+
+        monkeypatch.setattr(hmod, "_axis_grid", unbuilt)
+        q = gen_quad(GenSpec(reals(), 0, "near-face"))
+        with pytest.raises(SizeError, match="per-index grid too large: 2000001"):
+            brute_ahsp_search(q, {1}, F(1, 10), hmod.SEARCH_BUDGET + 1)
+
+    @pytest.mark.parametrize("resolution", [0, -3])
+    def test_nonpositive_resolution(self, resolution):
+        # Even an attaining quadruple, returned before any grid is built.
+        q = gen_quad(GenSpec(l1(2), 0, "constant"))
+        with pytest.raises(DomainError, match="resolution must be at least 1"):
+            brute_ahsp_search(q, {1, 2, 3, 4}, F(1, 4), resolution)
+
+
 def _reference_search(q, active, eps, resolution):
     """Unpruned grid search: every candidate list, checked in grid order."""
     def attains(z):
